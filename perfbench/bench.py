@@ -1,13 +1,14 @@
 """Run one workload for a fixed time and report its metrics.
 
 ``measure(workload, seed, seconds, trace=False)`` sets the workload up
-``SETUP_REPEATS`` times (its median is ``setup_s``), then runs passes
+several times (their median is ``setup_s``), then runs passes
 until ``seconds`` have gone by, checking every pass's outputs, and
 returns the end-to-end metrics.  With ``trace=True`` it sets up once
-and splits the time in three: untraced passes (the baseline), passes
-with ``repro.obs`` telemetry configured, and passes under the
-:class:`~perfbench.layers.Layers` wrappers; it returns the per-layer
-metrics, each normalised per traced pass.
+and runs rounds of three passes: untraced (the baseline), with
+``repro.obs`` telemetry configured, and under the
+:class:`~perfbench.layers.Layers` wrappers, so the three modes share
+the run's stretch of host speed; it returns the per-layer metrics,
+each normalised per traced pass.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ import numpy as np
 from repro import obs
 
 from perfbench.layers import Layers
-from perfbench.workloads import NPROC, Serve, Tally
+from perfbench.workloads import NPROC, ServeRelease, Tally
 
-#: Set-ups per run; ``setup_s`` is their median.
+#: Set-ups per run: at least ``SETUP_REPEATS``, and more until they
+#: have taken ``SETUP_SECONDS``, so a cheap set-up's median is not one
+#: first-call outlier; ``setup_s`` is their median.
 SETUP_REPEATS = 3
+SETUP_SECONDS = 3.0
 
 #: Untraced passes per run at least, however long one takes.
 MIN_PASSES = 3
@@ -73,10 +77,8 @@ PER_LAYER = (
     ("parallel.child_cpu_s", "s", "lower"),
     ("parallel.efficiency", "ratio", "higher"),
     ("serve.submit_s", "s/query", "lower"),
-    ("serve.cache_hit_frac", "ratio", "higher"),
     ("serve.batches", "count", "lower"),
     ("serve.batch_size_mean", "count", "higher"),
-    ("serve.coalesced", "count", "higher"),
     ("serve.gen_lag_ms", "ms", "lower"),
     ("serve.p99_ms", "ms", "lower"),
     ("serve.latency_samples", "count", "higher"),
@@ -98,39 +100,60 @@ def _cpu(who: int) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _passes(workload, state: dict, tally: Tally, seconds: float,
-            min_passes: int, layers: Layers | None = None) -> list:
-    """Run, time and check passes for ``seconds`` (``min_passes`` at least)."""
-    passes = []
-    attempts = 0
-    start = time.perf_counter()
-    while attempts < min_passes or time.perf_counter() - start < seconds:
-        attempts += 1
-        # The last pass's cyclic garbage (closed servers, finished plans)
-        # is collected here, untimed, instead of in the next pass's legs.
-        gc.collect()
-        wall = time.perf_counter()
-        own = _cpu(resource.RUSAGE_SELF)
-        children = _cpu(resource.RUSAGE_CHILDREN)
-        try:
-            if layers is None:
+def _one_pass(workload, state: dict, tally: Tally,
+              layers: Layers | None = None):
+    """Run, time and check one pass; ``None`` if it raised."""
+    # The last pass's cyclic garbage (closed servers, finished plans) is
+    # collected here, untimed, instead of in this pass's legs.
+    gc.collect()
+    wall = time.perf_counter()
+    own = _cpu(resource.RUSAGE_SELF)
+    children = _cpu(resource.RUSAGE_CHILDREN)
+    try:
+        if layers is None:
+            result = workload.run_pass(state)
+        else:
+            with layers:
                 result = workload.run_pass(state)
+    except Exception:  # a broken pass is a failed operation, not a crash
+        traceback.print_exc()
+        tally.check(False, f"{workload.name}: pass raised")
+        return None
+    result.counters["wall_s"] = time.perf_counter() - wall
+    result.counters["self_cpu_s"] = _cpu(resource.RUSAGE_SELF) - own
+    result.counters["child_cpu_s"] = _cpu(resource.RUSAGE_CHILDREN) - children
+    workload.check(state, result.outputs, tally)
+    result.outputs = None
+    return result
+
+
+def _rounds(workload, state: dict, tally: Tally, seconds: float,
+            min_rounds: int, modes: tuple) -> list:
+    """Passes for ``seconds`` (``min_rounds`` rounds at least), one per
+    mode in turn, so every mode sees the same stretch of the run.
+
+    A mode is ``None`` (untraced), ``"obs"`` (``repro.obs`` telemetry
+    configured) or a :class:`Layers` (traced).  Returns one list of
+    passes per mode.
+    """
+    passes: list = [[] for _ in modes]
+    rounds = 0
+    start = time.perf_counter()
+    while rounds < min_rounds or time.perf_counter() - start < seconds:
+        rounds += 1
+        for kept, mode in zip(passes, modes):
+            if mode == "obs":
+                obs.configure()
+                try:
+                    result = _one_pass(workload, state, tally)
+                finally:
+                    obs.reset()
             else:
-                with layers:
-                    result = workload.run_pass(state)
-        except Exception:  # a broken pass is a failed operation, not a crash
-            traceback.print_exc()
-            tally.check(False, f"{workload.name}: pass raised")
-            continue
-        result.counters["wall_s"] = time.perf_counter() - wall
-        result.counters["self_cpu_s"] = _cpu(resource.RUSAGE_SELF) - own
-        result.counters["child_cpu_s"] = \
-            _cpu(resource.RUSAGE_CHILDREN) - children
-        workload.check(state, result.outputs, tally)
-        result.outputs = None
-        passes.append(result)
-    if not passes:
-        raise RuntimeError(f"{workload.name}: every pass failed")
+                result = _one_pass(workload, state, tally, mode)
+            if result is not None:
+                kept.append(result)
+    if not all(passes):
+        raise RuntimeError(f"{workload.name}: every pass of a mode failed")
     return passes
 
 
@@ -143,21 +166,27 @@ def _samples(passes: list, attribute: str) -> np.ndarray:
                        for value in getattr(p, attribute)])
 
 
+def _median_interactive(passes: list) -> float:
+    """Median over passes of each pass's median interactive sample."""
+    return float(statistics.median(statistics.median(p.interactive_s)
+                                   for p in passes))
+
+
 def summary(workload, passes: list) -> dict:
     """The ROADMAP-named figures (report_s, qps_max, ...) for humans."""
     interactive = _samples(passes, "interactive_s")
-    if isinstance(workload, Serve):
+    if isinstance(workload, ServeRelease):
         return {
             "qps_max": (statistics.median(p.counters["serve.saturation_ok"]
                                           / p.batch_s for p in passes),
                         "1/s"),
-            "p50_ms": (float(np.percentile(interactive, 50)) * 1e3, "ms"),
+            "p50_ms": (_median_interactive(passes) * 1e3, "ms"),
             "p99_ms": (float(np.percentile(interactive, 99)) * 1e3, "ms"),
             "latency_samples": (int(interactive.size), "count"),
             "offered_qps": (workload.rate_qps, "1/s"),
         }
     return {"report_s": (_median_batch(passes), "s"),
-            "reaudit_s": (float(np.median(interactive)), "s"),
+            "reaudit_s": (_median_interactive(passes), "s"),
             "passes": (len(passes), "count")}
 
 
@@ -165,8 +194,7 @@ def end_to_end(setups: list, passes: list) -> dict:
     return {
         "setup_s": statistics.median(setups),
         "batch_s": _median_batch(passes),
-        "interactive_ms": float(np.median(_samples(passes, "interactive_s")))
-        * 1e3,
+        "interactive_ms": _median_interactive(passes) * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
     }
@@ -193,13 +221,12 @@ def per_layer(workload, layers: Layers, baseline: list, observed: list,
     metrics.update({f"{layer}_calls": totals.get(f"{layer}_calls", 0) / n
                     for layer in _COUNTED})
     for name in ("store.hits", "store.misses", "store.bytes_read",
-                 "store.bytes_written", "serve.batches", "serve.coalesced"):
+                 "store.bytes_written", "serve.batches"):
         metrics[name] = counters.get(name, 0) / n
     wall = counters["wall_s"]
-    serving = isinstance(workload, Serve)
+    serving = isinstance(workload, ServeRelease)
     latency = _samples(baseline, "interactive_s") if serving else np.zeros(0)
     lateness = _samples(baseline, "lateness_s")
-    cache_hits = counters.get("serve.cache.hits", 0)
     metrics.update({
         "engine.node_hits": totals.get("engine.node_hit", 0) / n,
         "engine.node_misses": totals.get("engine.node_miss", 0) / n,
@@ -214,8 +241,6 @@ def per_layer(workload, layers: Layers, baseline: list, observed: list,
             wall * workload.parallelism),
         "serve.submit_s": _ratio(totals.get("serve.submit_s", 0.0),
                                  counters.get("serve.queries", 0)),
-        "serve.cache_hit_frac": _ratio(
-            cache_hits, cache_hits + counters.get("serve.cache.misses", 0)),
         "serve.batch_size_mean": _ratio(
             counters.get("serve.batched_queries", 0),
             counters.get("serve.batches", 0)),
@@ -235,8 +260,13 @@ def measure(workload, seed: int, seconds: float, trace: bool = False,
             tally: Tally | None = None) -> tuple[dict, dict]:
     """``(metrics, summary)`` for one run; failures land in ``tally``."""
     tally = tally if tally is not None else Tally()
-    setups = []
-    for _ in range(1 if trace else SETUP_REPEATS):
+    setups: list = []
+    while not setups or (not trace and (len(setups) < SETUP_REPEATS
+                                        or sum(setups) < SETUP_SECONDS)):
+        # Each set-up starts from the same heap: the last one's state
+        # is freed and collected first, untimed.
+        state = None
+        gc.collect()
         start = time.perf_counter()
         state = workload.setup(seed)
         setups.append(time.perf_counter() - start)
@@ -246,17 +276,13 @@ def measure(workload, seed: int, seconds: float, trace: bool = False,
     gc.freeze()
     try:
         if not trace:
-            passes = _passes(workload, state, tally, seconds, MIN_PASSES)
+            (passes,) = _rounds(workload, state, tally, seconds, MIN_PASSES,
+                                (None,))
             return end_to_end(setups, passes), summary(workload, passes)
-        third = seconds / 3.0
-        baseline = _passes(workload, state, tally, third, 1)
-        obs.configure()
-        try:
-            observed = _passes(workload, state, tally, third, 1)
-        finally:
-            obs.reset()
         layers = Layers()
-        traced = _passes(workload, state, tally, third, 1, layers)
+        baseline, observed, traced = _rounds(workload, state, tally,
+                                             seconds, 1,
+                                             (None, "obs", layers))
         return (per_layer(workload, layers, baseline, observed, traced),
                 summary(workload, baseline))
     finally:

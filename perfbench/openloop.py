@@ -40,17 +40,14 @@ class _Recorder:
 
 
 def schedule(rate_qps: float, duration_s: float, limit: int,
-             rng: np.random.Generator, page: int = 1) -> np.ndarray:
+             rng: np.random.Generator) -> np.ndarray:
     """Due times (seconds from the start) of the requests sent.
 
-    Requests arrive in pages of ``page`` (a dashboard refresh sends all
-    its panels at once), pages at exponential gaps, ``rate_qps``
-    requests per second on average.  Every request due before
-    ``duration_s`` is kept, at most ``limit`` of them and at least one.
+    Gaps between requests are exponential with mean ``1 / rate_qps``
+    (a Poisson stream).  Every request due before ``duration_s`` is
+    kept, at most ``limit`` of them and at least one.
     """
-    pages = np.cumsum(rng.exponential(page / rate_qps,
-                                      size=-(-limit // page)))
-    due = np.repeat(pages, page)[:limit]
+    due = np.cumsum(rng.exponential(1.0 / rate_qps, size=limit))
     return due[:max(1, int(np.searchsorted(due, duration_s)))]
 
 

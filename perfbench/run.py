@@ -5,10 +5,10 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload audit_cold --seed 1 --seconds 18 \\
         --trace 0
 
-Workloads: ``audit_cold``, ``audit_sharded``, ``serve_zipf`` and
-``serve_release`` (see ``perfbench/README.md``).  ``--trace 0`` reports
-the end-to-end metrics, ``--trace 1`` the per-layer ones.  Human-readable
-lines come first; the last line of standard output is the result::
+Workloads: ``audit_cold``, ``audit_sharded`` and ``serve_release`` (see
+``perfbench/README.md``).  ``--trace 0`` reports the end-to-end metrics,
+``--trace 1`` the per-layer ones.  Human-readable lines come first; the
+last line of standard output is the result::
 
     {"correct": true, "attempted": 12, "failed": 0, "metrics": {...}}
 
@@ -25,7 +25,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-WORKLOAD_NAMES = ("audit_cold", "audit_sharded", "serve_zipf", "serve_release")
+WORKLOAD_NAMES = ("audit_cold", "audit_sharded", "serve_release")
 
 
 def main(argv=None) -> int:

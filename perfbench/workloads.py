@@ -1,4 +1,4 @@
-"""The four FACT-loop workloads: set-up, timed legs and output checks.
+"""The three FACT-loop workloads: set-up, timed legs and output checks.
 
 Each workload builds its inputs from the seed alone (``setup``), then
 runs *passes*.  A pass has two timed legs, and the benchmark reports
@@ -59,6 +59,15 @@ EDITED_SURROGATE_DEPTH = 5
 #: leg is short next to the cold audit, so repeating it is cheap and
 #: gives its median more samples.
 REAUDITS = 3
+
+#: Shards of the ``audit_sharded`` test table.
+N_SHARDS = 4
+
+#: Census rows the served table holds.
+SERVE_ROWS = 5_000
+
+#: Seconds of each serve pass's open-loop leg.
+OPEN_S = 1.0
 
 #: Scratch space for on-disk stores, inside the checkout.
 WORK_DIR = os.path.join(
@@ -206,23 +215,21 @@ class AuditSharded:
 
     name = "audit_sharded"
 
-    def __init__(self, rows_per_shard: int = 2_500, n_shards: int = 4,
-                 n_train: int = 4_000, n_bootstrap: int = 100):
+    def __init__(self, rows_per_shard: int = 2_500, n_train: int = 4_000,
+                 n_bootstrap: int = 100):
         self.rows_per_shard = rows_per_shard
-        self.n_shards = n_shards
         self.n_train = n_train
         self.n_bootstrap = n_bootstrap
-        self.parallelism = min(NPROC, n_shards)
+        self.parallelism = min(NPROC, N_SHARDS)
 
     def setup(self, seed: int) -> dict:
         rng = _rng(seed, 11)
         generator = CensusIncomeGenerator()
         train = generator.generate(self.n_train, rng)
-        test = generator.generate(self.rows_per_shard * self.n_shards, rng)
+        test = generator.generate(self.rows_per_shard * N_SHARDS, rng)
         model = TableClassifier(LogisticRegression()).fit(train)
         state = {"seed": seed, "model": model, "test": test}
-        whole = PartitionedTable.partition(test,
-                                           n_shards=self.n_shards).concat()
+        whole = PartitionedTable.partition(test, n_shards=N_SHARDS).concat()
         state["reference"] = self._auditor(1, "serial", None).audit(
             model, whole, _rng(seed, 12)).fingerprint()
         state["reference_edited"] = self._auditor(
@@ -236,8 +243,7 @@ class AuditSharded:
                            n_jobs=n_jobs, backend=backend, store=store)
 
     def _sharded(self, state: dict, store, surrogate_depth: int = 4):
-        parts = PartitionedTable.partition(state["test"],
-                                           n_shards=self.n_shards)
+        parts = PartitionedTable.partition(state["test"], n_shards=N_SHARDS)
         auditor = self._auditor(self.parallelism, "process", store,
                                 surrogate_depth)
         return auditor.audit(state["model"], parts, _rng(state["seed"], 12))
@@ -281,57 +287,47 @@ def _canonical(value) -> str:
     return repr(value)
 
 
-class Serve:
-    """The Zipf dashboard trace against a query server, two legs.
+class ServeRelease:
+    """The Zipf dashboard trace against a query server with the answer
+    cache off, so every query is a noisy DP release; two legs.
 
     The batch (saturation) leg submits the whole trace in bursts, as
     ``repro.serve.loadgen.run_load`` does, and times it to the last
     answer.  The interactive (open-loop) leg sends the trace's prefix
-    at ``rate_qps`` for ``open_s`` seconds, in pages of ``page``
-    requests arriving at Poisson times.  Each leg gets a fresh server,
-    so release ordinals and ledgers restart.
+    one query at a time, at Poisson times, ``rate_qps`` per second for
+    ``open_s`` seconds.  Each leg gets a fresh server, so release
+    ordinals and ledgers restart.
     """
 
-    def __init__(self, name: str, cache: bool, n_queries: int,
-                 rate_qps: float, open_s: float, page: int,
-                 n_rows: int = 5_000):
-        self.name = name
-        self.cache = cache
+    name = "serve_release"
+
+    def __init__(self, n_queries: int = 4_000, rate_qps: float = 600.0,
+                 open_s: float = OPEN_S):
         self.n_queries = n_queries
         self.rate_qps = rate_qps
         self.open_s = open_s
-        self.page = page
-        self.n_rows = n_rows
         self.parallelism = min(NPROC, 2)
 
     def setup(self, seed: int) -> dict:
-        table = CensusIncomeGenerator().generate(self.n_rows, _rng(seed, 21))
+        table = CensusIncomeGenerator().generate(SERVE_ROWS, _rng(seed, 21))
         requests = zipf_workload(self.n_queries, n_tenants=16, n_shapes=64,
                                  zipf_s=1.2, seed=seed)
         config = ServeConfig(workers=self.parallelism, seed=seed,
-                             batch_window_ms=2.0, cache=self.cache,
+                             batch_window_ms=2.0, cache=False,
                              max_queue_depth=max(4096, self.n_queries),
                              default_epsilon_budget=1e9)
         state = {"seed": seed, "table": table, "requests": requests,
                  "config": config,
                  "chunks": bursts(requests, mean_burst=256, seed=seed)}
-        # With the cache on, each fingerprint is released once (ordinal
-        # 0), so one serial release per distinct shape is the reference;
-        # with it off, the k-th occurrence of a fingerprint is its k-th
-        # release, so the serial reference replays the whole trace.
-        if self.cache:
-            state["shapes"] = list(dict.fromkeys(
-                replace(request, tenant="reference") for request in requests
-            ))
-            state["reference"] = self._serial(table, state["shapes"], config)
-        else:
-            state["reference"] = self._serial(table, requests, config)
+        # The k-th occurrence of a fingerprint is its k-th release, so
+        # the serial reference replays the whole trace.
+        state["reference"] = self._serial(table, requests, config)
         return state
 
     @staticmethod
     def _serial(table, requests: list, config: ServeConfig) -> dict:
         """fingerprint -> answers in release order, from one worker."""
-        serial = replace(config, workers=1, batch_window_ms=0.0, cache=False)
+        serial = replace(config, workers=1, batch_window_ms=0.0)
         answers: dict[str, list] = {}
         with QueryServer(serial) as server:
             server.register_table(TABLE_NAME, table)
@@ -366,13 +362,8 @@ class Serve:
         del server, pending
         gc.collect()
         open_server = self._server(state)
-        if self.cache:
-            # A dashboard server runs warm: fill the answer cache with
-            # one release per shape before the open-loop leg starts.
-            for pending in open_server.submit_many(state["shapes"]):
-                pending.result()
         due = schedule(self.rate_qps, self.open_s, len(state["requests"]),
-                       _rng(state["seed"], 22), self.page)
+                       _rng(state["seed"], 22))
         try:
             run = run_open_loop(open_server, state["requests"], due)
         finally:
@@ -388,9 +379,7 @@ class Serve:
         stats = server.stats()
         counters["serve.queries"] += len(results)
         _add(counters, "serve", stats["batching"],
-             ("batches", "batched_queries", "coalesced"))
-        if stats["cache"] is not None:
-            _add(counters, "serve.cache", stats["cache"], ("hits", "misses"))
+             ("batches", "batched_queries"))
         return {
             "statuses": [result.status for result in results],
             "fingerprints": [result.fingerprint for result in results],
@@ -419,32 +408,25 @@ class Serve:
                 indices.setdefault(fingerprint, []).append(index)
         for fingerprint, answers in by_fingerprint.items():
             expected = reference.get(fingerprint, [])
-            if self.cache:
-                # Every request of a fingerprint replays its one release.
-                ok = bool(expected) and all(
-                    answer == expected[0] for answer in answers)
-            else:
-                ok = Counter(answers) == Counter(expected[:len(answers)])
-            if not ok:
+            if Counter(answers) != Counter(expected[:len(answers)]):
                 failed.update(indices[fingerprint])
-        if not self.cache:
-            # Exact ε accounting: each tenant's ledger holds exactly its
-            # answered requests' ε (as a multiset, so the correctly
-            # rounded sums agree too), whatever order releases committed.
-            charged: dict[str, list[float]] = {}
-            for request, status in zip(requests, statuses):
-                if status == "ok":
-                    charged.setdefault(request.tenant, []).append(
-                        float(request.epsilon))
-            ledgers = leg["ledgers"]
-            for tenant in set(charged) | set(ledgers):
-                ledger = ledgers.get(tenant, [])
-                expected = charged.get(tenant, [])
-                if sorted(ledger) != sorted(expected) or \
-                        math.fsum(ledger) != math.fsum(expected):
-                    failed.update(index for index, request
-                                  in enumerate(requests)
-                                  if request.tenant == tenant)
+        # Exact ε accounting: each tenant's ledger holds exactly its
+        # answered requests' ε (as a multiset, so the correctly rounded
+        # sums agree too), whatever order releases committed in.
+        charged: dict[str, list[float]] = {}
+        for request, status in zip(requests, statuses):
+            if status == "ok":
+                charged.setdefault(request.tenant, []).append(
+                    float(request.epsilon))
+        ledgers = leg["ledgers"]
+        for tenant in set(charged) | set(ledgers):
+            ledger = ledgers.get(tenant, [])
+            expected = charged.get(tenant, [])
+            if sorted(ledger) != sorted(expected) or \
+                    math.fsum(ledger) != math.fsum(expected):
+                failed.update(index for index, request
+                              in enumerate(requests)
+                              if request.tenant == tenant)
         tally.attempted += len(statuses)
         tally.failed += len(failed)
         if failed:
@@ -452,14 +434,8 @@ class Serve:
                   f"{len(statuses)} queries", file=sys.stderr)
 
 
-# serve_zipf's users refresh dashboards, a page of 16 panel queries at a
-# time; serve_release's analysts send one-off queries.
 WORKLOADS = {
     "audit_cold": AuditCold,
     "audit_sharded": AuditSharded,
-    "serve_zipf": lambda: Serve("serve_zipf", cache=True, n_queries=40_000,
-                                rate_qps=2_000.0, open_s=1.0, page=16),
-    "serve_release": lambda: Serve("serve_release", cache=False,
-                                   n_queries=4_000, rate_qps=600.0,
-                                   open_s=1.0, page=1),
+    "serve_release": ServeRelease,
 }
