@@ -2,10 +2,11 @@
 
 ROADMAP claim: parallelism is a wall-clock knob, never a results knob —
 now at the level of whole audit sections, not just inner resampling
-loops.  ``FACTAuditor.audit`` builds a four-node ``repro.engine.Plan``
-(all sections at dependency level 0) and the ``Executor`` fans a level's
-ready nodes out through ``repro.parallel``.  This bench measures both
-promises:
+loops.  ``FACTAuditor.audit`` builds one map/combine
+``repro.engine.Plan`` — the test table as one shard map, then the four
+pillar sections together in one level, then the notes — and the
+``Executor`` fans a level's ready nodes out through ``repro.parallel``.
+This bench measures both promises:
 
 * **Section-level speedup** — the same audit runs sequentially
   (``n_jobs=1``) and with concurrent sections (``n_jobs=2``/``4``,

@@ -1,9 +1,12 @@
 """The FACT audit as a dataflow plan: concurrent, memoised, identical.
 
-``FACTAuditor.audit`` no longer runs its four pillar sections in a
-hand-written sequence — it builds a four-node ``repro.engine.Plan``
-(every section at dependency level 0) and hands it to the engine's
-``Executor``.  That buys three things at once, demonstrated below:
+``FACTAuditor.audit`` does not run its four pillar sections in a
+hand-written sequence — it builds one map/combine ``repro.engine.Plan``
+and hands it to the engine's ``Executor``.  The test table is one shard
+(``shards=None``): level 0 maps it to per-row partials (labels,
+probabilities, decisions, encoded features), level 1 holds the four
+pillar sections as combines over those partials, and level 2 the
+report's notes.  That buys three things at once, demonstrated below:
 
 1. **Concurrency without nondeterminism** — with workers, the four
    sections run simultaneously, and the report's fingerprint is
@@ -12,7 +15,8 @@ hand-written sequence — it builds a four-node ``repro.engine.Plan``
 2. **Incremental re-audit** — with an ``ArtifactStore``, each node is
    memoised under a key derived from its code + params + input content;
    after changing one section's parameters, only that section
-   recomputes, and it still recomputes *concurrently* with nothing.
+   recomputes; the shard partial, the other sections and the notes
+   replay.
 3. **One plan, inspectable** — ``plan.describe()`` shows the schedule
    the auditor will run before anything executes.
 
@@ -50,8 +54,9 @@ def main():
     train, calibration, test = three_way_split(data, 0.25, 0.15, rng)
     model = TableClassifier(LogisticRegression()).fit(train)
 
-    # 1. The audit's schedule, before anything runs: four pillar nodes,
-    #    one level — all independent, all eligible to run concurrently.
+    # 1. The audit's schedule, before anything runs: one shard map, then
+    #    the four pillar sections in one level — all independent, all
+    #    eligible to run concurrently — then the notes.
     plan = FACTAuditor().build_plan(model, test, calibration=calibration)
     print(plan.describe())
     print()
@@ -67,7 +72,8 @@ def main():
 
     # 3. Incremental *and* concurrent: cold-fill the store, then deepen
     #    the transparency surrogate.  Only that node's key changes, so
-    #    the other three sections replay and one recomputes.
+    #    the shard map, the other three sections and the notes replay
+    #    and one section recomputes.
     store = ArtifactStore()
     timed_audit(model, test, calibration, n_jobs=4, store=store)
     misses_before = store.misses

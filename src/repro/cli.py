@@ -291,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--json", action="store_true",
                        help="emit the report as JSON instead of text")
     audit.add_argument("--shards", type=int, default=None,
-                       help="partition the test split into N row-range "
-                            "shards and audit map/combine (byte-identical "
-                            "to the serial path)")
+                       help="partition the test split into N >= 1 "
+                            "row-range shards for the map/combine audit "
+                            "(default 1; the report is byte-identical at "
+                            "every N)")
     audit.add_argument("--jobs", type=int, default=None,
                        help="worker fan-out (default: $REPRO_N_JOBS)")
     audit.add_argument("--backend", choices=("thread", "process"),

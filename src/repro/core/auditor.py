@@ -16,6 +16,7 @@ full :class:`~repro.core.report.FACTReport`:
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -23,11 +24,7 @@ from repro import obs
 from repro.accuracy.bootstrap import bootstrap_paired_ci
 from repro.accuracy.conformal import SplitConformalClassifier
 from repro.confidentiality.accountant import PrivacyAccountant
-from repro.confidentiality.risk import (
-    assess_risk,
-    qi_class_counts,
-    risk_from_counts,
-)
+from repro.confidentiality.risk import qi_class_counts, risk_from_counts
 from repro.core.report import (
     AccuracySection,
     ConfidentialitySection,
@@ -37,10 +34,10 @@ from repro.core.report import (
 from repro.data.partition import PartitionedTable, merge_counts
 from repro.data.schema import ColumnRole
 from repro.data.table import Table
-from repro.engine import Executor, Node, Plan, value_fingerprint
-from repro.engine.sharding import ShardPartials, combine_node, shard_map_nodes
+from repro.engine import Executor, Plan, value_fingerprint
+from repro.engine.sharding import combine_node, shard_map_nodes
 from repro.exceptions import DataError, FairnessError
-from repro.fairness.report import audit_decisions, audit_model
+from repro.fairness.report import audit_decisions
 from repro.learn.calibration import expected_calibration_error
 from repro.learn.metrics import accuracy as accuracy_metric
 from repro.learn.metrics import roc_auc
@@ -58,9 +55,9 @@ def _audit_shard_partial(model: TableClassifier, qi_names: tuple,
     Row-wise pure: each returned array is exactly the corresponding rows
     of the whole-table computation (the encoder's statistics and the
     estimator's weights are frozen at fit time), so concatenating the
-    partials in shard order reproduces the unsharded arrays *bitwise* —
-    which is what makes the sharded sections byte-identical by
-    construction.  Module-level so ``functools.partial`` of it pickles
+    partials in shard order reproduces the whole-table arrays *bitwise* —
+    which is what makes the report byte-identical at every shard count
+    by construction.  Module-level so ``functools.partial`` of it pickles
     into a process worker.
     """
     labels = model.labels(shard)
@@ -109,8 +106,40 @@ def _gather(partials, keys: tuple[str, ...],
     return gathered
 
 
+def _audit_notes(partials, fairness, sensitive_names: tuple[str, ...],
+                 calibrated: bool) -> list[str]:
+    """The report's notes (the ``notes`` node of the audit plan).
+
+    Computed from the shard partials and the fairness section, so a
+    re-audit replays them with everything else it did not invalidate.
+    """
+    notes = []
+    if not calibrated:
+        notes.append(
+            "no calibration split supplied: conformal guarantee not checked"
+        )
+    arrays = _gather(partials, ("decisions",), sensitive=sensitive_names)
+    power_note = FACTAuditor._audit_power_note(
+        fairness, arrays["sensitive"][fairness.sensitive]
+    )
+    if power_note:
+        notes.append(power_note)
+    intersectional_note = FACTAuditor._intersectional_note(
+        arrays["sensitive"], arrays["decisions"], fairness
+    )
+    if intersectional_note:
+        notes.append(intersectional_note)
+    return notes
+
+
 class FACTAuditor:
     """Audits a model + dataset against all four FACT questions.
+
+    Every audit runs as one map/combine plan (:meth:`build_plan`) over
+    row-range shards of the evaluation data; a plain ``Table`` is
+    partitioned into ``shards`` shards (one when ``shards`` is
+    ``None``).  The report is byte-identical at every shard count,
+    ``n_jobs``, backend, and store setting.
 
     Parameters
     ----------
@@ -132,22 +161,20 @@ class FACTAuditor:
         ``"thread"`` (default) or ``"process"`` for the fan-out.
     store:
         An :class:`~repro.store.ArtifactStore` memoising the audit
-        **per pillar section**; ``None`` defers to ``$REPRO_STORE``
-        (unset: no caching).  Each section is keyed on exactly the
-        inputs, parameters, and code it depends on, so a re-audit
-        after one change recomputes only the invalidated sections and
-        replays the rest bit-identically.  The stochastic sections own
-        ``SeedSequence``-spawned generators (assigned in plan order,
-        independent of scheduling and caching), so the sections that
-        *do* recompute draw the same stream they would have in a cold
-        run — and a change to one section can never shift another's
-        results.
+        **per plan node** (shard partials, pillar sections, notes);
+        ``None`` defers to ``$REPRO_STORE`` (unset: no caching).  Each
+        node is keyed on exactly the inputs, parameters, and code it
+        depends on, so a re-audit after one change recomputes only the
+        invalidated nodes and replays the rest bit-identically.  The
+        stochastic sections own ``SeedSequence``-spawned generators
+        (assigned in plan order, independent of scheduling and
+        caching), so the sections that *do* recompute draw the same
+        stream they would have in a cold run — and a change to one
+        section can never shift another's results.
     shards:
-        Partition a plain ``Table`` into this many row-range shards at
-        audit time and run the sharded map/combine path — the same path
-        a :class:`~repro.data.PartitionedTable` passed to :meth:`audit`
-        takes (see :meth:`build_sharded_plan`).  The report is
-        byte-identical to the unsharded path at every shard count.
+        How many row-range shards a plain ``Table`` is partitioned into
+        at audit time: ``None`` (one shard) or an integer >= 1.  A
+        :class:`~repro.data.PartitionedTable` keeps its own shards.
     """
 
     def __init__(self, conformal_alpha: float = 0.1,
@@ -158,6 +185,12 @@ class FACTAuditor:
                  backend: str = "thread",
                  store=None,
                  shards: int | None = None):
+        if shards is not None and not (
+            isinstance(shards, numbers.Integral) and shards >= 1
+        ):
+            raise DataError(
+                f"shards must be None or an integer >= 1, got {shards!r}"
+            )
         self.conformal_alpha = conformal_alpha
         self.surrogate_depth = surrogate_depth
         self.n_bootstrap = n_bootstrap
@@ -167,119 +200,41 @@ class FACTAuditor:
         self.store = store
         self.shards = shards
 
-    def build_plan(self, model: TableClassifier, test: Table,
+    def _partitioned(self, data: Table | PartitionedTable) -> PartitionedTable:
+        if isinstance(data, PartitionedTable):
+            return data
+        return PartitionedTable.partition(data, n_shards=self.shards or 1)
+
+    def build_plan(self, model: TableClassifier,
+                   data: Table | PartitionedTable,
                    calibration: Table | None = None,
                    accountant: PrivacyAccountant | None = None,
                    pipeline_result: PipelineResult | None = None,
-                   store=None,
-                   predictions: tuple | None = None) -> Plan:
-        """The audit as a four-node pillar :class:`repro.engine.Plan`.
-
-        All four sections sit at dependency level 0 — they consume only
-        the plan inputs (``model``, ``test``, ``calibration``) — so the
-        executor runs them *concurrently* when given workers.  Cache
-        keys derive from each node's code + params + input content, so
-        an incremental re-audit recomputes exactly the sections a change
-        invalidated, with no hand-written keys.  The stochastic sections
-        (accuracy, transparency) declare ``rng="spawn"``: each owns its
-        own seed stream, so a change to one can never shift the other's
-        results, and the report is bit-identical with or without a
-        store at every ``n_jobs``/backend combination.
-        """
-        if predictions is None:
-            predictions = self._predictions(model, test)
-        labels, probabilities, decisions = predictions
-        tags = lambda fps: (f"table:{fps['test']}",)  # noqa: E731
-
-        def fairness_fn(inputs, rng):
-            return audit_model(inputs["model"], inputs["test"])
-
-        def accuracy_fn(inputs, rng):
-            return self._accuracy(
-                inputs["model"], inputs["test"], labels, probabilities,
-                decisions, inputs["calibration"], rng, store=store,
-            )
-
-        def confidentiality_fn(inputs, rng):
-            return self._confidentiality(inputs["test"], accountant)
-
-        def transparency_fn(inputs, rng):
-            return self._transparency(inputs["model"], inputs["test"],
-                                      labels, rng, pipeline_result,
-                                      store=store)
-
-        nodes = [
-            Node("fairness", fairness_fn,
-                 inputs=("model", "test"),
-                 code=audit_model,
-                 tags=tags),
-            Node("accuracy", accuracy_fn,
-                 inputs=("model", "test", "calibration"),
-                 params={"conformal_alpha": self.conformal_alpha,
-                         "n_bootstrap": self.n_bootstrap},
-                 code=FACTAuditor._accuracy,
-                 rng="spawn",
-                 tags=tags),
-            Node("confidentiality", confidentiality_fn,
-                 inputs=("test",),
-                 params={"accountant": None if accountant is None else {
-                     "epsilon_spent": accountant.epsilon_spent,
-                     "epsilon_budget": accountant.epsilon_budget,
-                     "ledger_entries": len(accountant.ledger),
-                 }},
-                 code=FACTAuditor._confidentiality,
-                 tags=tags),
-            Node("transparency", transparency_fn,
-                 inputs=("model", "test"),
-                 params={"surrogate_depth": self.surrogate_depth,
-                         "top_features": self.top_features,
-                         "pipeline": None if pipeline_result is None else {
-                             "provenance_steps": (
-                                 pipeline_result.context.provenance.n_steps
-                                 if pipeline_result.context.provenance
-                                 else 0
-                             ),
-                             "audit_events": len(
-                                 pipeline_result.context.audit
-                             ),
-                         }},
-                 code=FACTAuditor._transparency,
-                 rng="spawn",
-                 tags=tags),
-        ]
-        return Plan(nodes, inputs=("model", "test", "calibration"))
-
-    @staticmethod
-    def _predictions(model: TableClassifier, test: Table) -> tuple:
-        """(labels, probabilities, decisions) shared by the sections."""
-        labels = model.labels(test)
-        probabilities = model.predict_proba(test)
-        decisions = (probabilities >= model.threshold).astype(np.float64)
-        return labels, probabilities, decisions
-
-    def build_sharded_plan(self, model: TableClassifier,
-                           data: PartitionedTable,
-                           calibration: Table | None = None,
-                           accountant: PrivacyAccountant | None = None,
-                           pipeline_result: PipelineResult | None = None,
-                           store=None) -> Plan:
+                   store=None) -> Plan:
         """The audit as a map/combine plan over ``data``'s shards.
 
-        Level 0 is one map node per shard (``partial.shard{i}``), each a
+        A plain ``Table`` is partitioned as :meth:`audit` would.  Level
+        0 is one map node per shard (``partial.shard{i}``), each a
         picklable process task computing that shard's row-wise-pure
         arrays and exact contingency counts; with a store the partials
         *spill* (tagged ``shard:<fp>``), so references rather than
-        values travel to level 1.  Level 1 is the four pillar sections
-        as combine nodes: they concatenate the partials in shard order —
-        reproducing the unsharded arrays bitwise — and run the same
-        finalize code as the serial plan, so the report is
+        values travel on.  Level 1 is the four pillar sections as
+        combine nodes: they concatenate the partials in shard order —
+        reproducing the whole-table arrays bitwise — so the report is
         **byte-identical by construction** at every shard count,
-        ``n_jobs``, and backend.  The section spawn order (accuracy,
-        then transparency) matches :meth:`build_plan`, so the stochastic
-        sections draw the very streams the serial plan would.  Per-shard
-        cache keys fold each shard's content fingerprint: editing one
-        shard re-runs one map node plus the combines.
+        ``n_jobs``, and backend.  The stochastic sections (accuracy,
+        then transparency) declare ``rng="spawn"``: each owns its own
+        seed stream, so a change to one can never shift the other's
+        results.  Level 2 is the ``notes`` combine over the partials and
+        the fairness section, so a re-audit replays the notes too.
+
+        Per-shard cache keys fold each shard's content fingerprint:
+        editing one shard re-runs one map node plus the combines.  The
+        sections and notes are tagged ``table:<fp>`` with the dataset's
+        fingerprint and every shard's, so invalidating a plain table's
+        ``table_fingerprint`` drops the audit built on it.
         """
+        data = self._partitioned(data)
         schema = data.schema
         qi_names = tuple(schema.quasi_identifier_names)
         sensitive_names = tuple(schema.sensitive_names)
@@ -291,6 +246,7 @@ class FACTAuditor:
         )
         tags = lambda fps: (  # noqa: E731
             f"table:{data.__content_fingerprint__()}",
+            *(f"table:{fp}" for fp in data.shard_fingerprints()),
         )
 
         def fairness_fn(partials, extras, rng):
@@ -311,10 +267,9 @@ class FACTAuditor:
             arrays = _gather(
                 partials, ("labels", "probabilities", "decisions"),
             )
-            return self._accuracy_core(
+            return self._accuracy(
                 model, arrays["labels"], arrays["probabilities"],
                 arrays["decisions"], calibration, rng, store=store,
-                n_test_rows=int(arrays["labels"].size),
                 x_test=lambda: _gather(partials, ("X",))["X"],
                 sensitive_names=sensitive_names,
                 group=lambda name: _gather(
@@ -335,16 +290,20 @@ class FACTAuditor:
                 risk = risk_from_counts(
                     qi_names, counts, nan_singletons, n_rows=n_rows
                 )
-            return self._confidentiality_section(schema, risk, accountant)
+            return self._confidentiality(schema, risk, accountant)
 
         def transparency_fn(partials, extras, rng):
             arrays = _gather(partials, ("X", "labels"))
-            return self._transparency_core(
+            return self._transparency(
                 model, arrays["X"], arrays["labels"], rng,
                 pipeline_result, store=store,
             )
 
-        sections = [
+        def notes_fn(partials, extras, rng):
+            return _audit_notes(partials, extras["fairness"],
+                                sensitive_names, calibration is not None)
+
+        nodes = [
             combine_node("fairness", maps, fairness_fn, store=store,
                          code=audit_decisions, tags=tags),
             combine_node("accuracy", maps, accuracy_fn, store=store,
@@ -356,7 +315,7 @@ class FACTAuditor:
                                  else value_fingerprint(calibration)
                              ),
                          },
-                         code=FACTAuditor._accuracy_core,
+                         code=FACTAuditor._accuracy,
                          rng="spawn", tags=tags),
             combine_node("confidentiality", maps, confidentiality_fn,
                          store=store,
@@ -366,7 +325,7 @@ class FACTAuditor:
                                      "epsilon_budget": accountant.epsilon_budget,
                                      "ledger_entries": len(accountant.ledger),
                                  }},
-                         code=FACTAuditor._confidentiality_section,
+                         code=FACTAuditor._confidentiality,
                          tags=tags),
             combine_node("transparency", maps, transparency_fn, store=store,
                          params={"surrogate_depth": self.surrogate_depth,
@@ -382,22 +341,40 @@ class FACTAuditor:
                                          pipeline_result.context.audit
                                      ),
                                  }},
-                         code=FACTAuditor._transparency_core,
+                         code=FACTAuditor._transparency,
                          rng="spawn", tags=tags),
+            combine_node("notes", maps, notes_fn, store=store,
+                         inputs=("fairness",),
+                         params={"calibrated": calibration is not None},
+                         code=_audit_notes, tags=tags),
         ]
-        return Plan([*maps, *sections])
+        return Plan([*maps, *nodes])
 
-    def _audit_sharded(self, model: TableClassifier, data: PartitionedTable,
-                       rng: np.random.Generator,
-                       calibration: Table | None,
-                       accountant: PrivacyAccountant | None,
-                       pipeline_result: PipelineResult | None,
-                       subject: str) -> FACTReport:
-        """Run the sharded map/combine plan and assemble the report."""
+    def audit(self, model: TableClassifier,
+              test: Table | PartitionedTable,
+              rng: np.random.Generator,
+              calibration: Table | None = None,
+              accountant: PrivacyAccountant | None = None,
+              pipeline_result: PipelineResult | None = None,
+              subject: str = "model") -> FACTReport:
+        """Produce the full FACT report.
+
+        ``test`` is a ``Table`` (partitioned into ``shards`` row-range
+        shards, one by default) or a
+        :class:`~repro.data.PartitionedTable`.  Either way the audit
+        runs as the one map/combine plan of :meth:`build_plan`:
+        concurrent when the auditor has workers (process-parallel map
+        tasks with ``backend="process"``), memoised per node when a
+        store is available (explicit or via ``$REPRO_STORE``) —
+        unchanged nodes replay byte-identically, changed ones
+        recompute, the incremental re-audit.  A run without a store
+        differs only in that nothing is looked up.
+        """
+        data = self._partitioned(test)
         if data.n_rows < 10:
             raise DataError("need at least 10 evaluation rows for an audit")
         store = resolve_store(self.store)
-        plan = self.build_sharded_plan(
+        plan = self.build_plan(
             model, data, calibration, accountant, pipeline_result,
             store=store,
         )
@@ -413,115 +390,13 @@ class FACTAuditor:
                 result = executor.run(plan, store=store, rng=rng)
         else:
             result = executor.run(plan, store=store, rng=rng)
-        fairness = result["fairness"]
-        partials = ShardPartials(
-            [result[f"partial.shard{i}"] for i in range(data.n_shards)],
-            store,
-        )
-        sensitive_names = tuple(data.schema.sensitive_names)
-        arrays = _gather(partials, ("decisions",), sensitive=sensitive_names)
-        notes = []
-        if calibration is None:
-            notes.append(
-                "no calibration split supplied: conformal guarantee not checked"
-            )
-        power_note = self._audit_power_note(
-            fairness, arrays["sensitive"][fairness.sensitive]
-        )
-        if power_note:
-            notes.append(power_note)
-        intersectional_note = self._intersectional_note(
-            arrays.get("sensitive", {}), arrays["decisions"], fairness
-        )
-        if intersectional_note:
-            notes.append(intersectional_note)
         return FACTReport(
             subject=subject,
-            fairness=fairness,
+            fairness=result["fairness"],
             accuracy=result["accuracy"],
             confidentiality=result["confidentiality"],
             transparency=result["transparency"],
-            notes=notes,
-        )
-
-    def audit(self, model: TableClassifier, test: Table,
-              rng: np.random.Generator,
-              calibration: Table | None = None,
-              accountant: PrivacyAccountant | None = None,
-              pipeline_result: PipelineResult | None = None,
-              subject: str = "model") -> FACTReport:
-        """Produce the full FACT report.
-
-        The four pillar sections run as one engine plan: concurrent
-        when the auditor has workers, memoised per section when a store
-        is available (explicit or via ``$REPRO_STORE``) — unchanged
-        sections replay byte-identically, changed ones recompute, the
-        incremental re-audit.  There is exactly one code path; a run
-        without a store differs only in that nothing is looked up.
-
-        ``test`` may also be a :class:`~repro.data.PartitionedTable`
-        (or the auditor may be built with ``shards=N`` to partition a
-        plain table here): the audit then runs as the sharded
-        map/combine plan of :meth:`build_sharded_plan` — out-of-core,
-        process-parallel when asked, and byte-identical to this path.
-        """
-        if isinstance(test, Table) and self.shards is not None \
-                and self.shards > 1:
-            test = PartitionedTable.partition(test, n_shards=self.shards)
-        if isinstance(test, PartitionedTable):
-            return self._audit_sharded(
-                model, test, rng, calibration, accountant,
-                pipeline_result, subject,
-            )
-        if test.n_rows < 10:
-            raise DataError("need at least 10 evaluation rows for an audit")
-        store = resolve_store(self.store)
-        predictions = self._predictions(model, test)
-        _, _, decisions = predictions
-        plan = self.build_plan(
-            model, test, calibration, accountant, pipeline_result,
-            store=store, predictions=predictions,
-        )
-        executor = Executor(n_jobs=self.n_jobs, backend=self.backend,
-                            name="audit")
-        inputs = {"model": model, "test": test, "calibration": calibration}
-        telemetry = obs.get()
-        if telemetry is not None:
-            with telemetry.tracer.span(
-                "audit.run", subject=subject, n_rows=test.n_rows,
-                n_jobs=executor.n_jobs, backend=self.backend,
-            ):
-                result = executor.run(plan, inputs, store=store, rng=rng)
-        else:
-            result = executor.run(plan, inputs, store=store, rng=rng)
-        fairness = result["fairness"]
-        accuracy_section = result["accuracy"]
-        confidentiality = result["confidentiality"]
-        transparency = result["transparency"]
-        notes = []
-        if calibration is None:
-            notes.append(
-                "no calibration split supplied: conformal guarantee not checked"
-            )
-        power_note = self._audit_power_note(
-            fairness, test.sensitive(fairness.sensitive)
-        )
-        if power_note:
-            notes.append(power_note)
-        intersectional_note = self._intersectional_note(
-            {name: test.column(name)
-             for name in test.schema.sensitive_names},
-            decisions, fairness,
-        )
-        if intersectional_note:
-            notes.append(intersectional_note)
-        return FACTReport(
-            subject=subject,
-            fairness=fairness,
-            accuracy=accuracy_section,
-            confidentiality=confidentiality,
-            transparency=transparency,
-            notes=notes,
+            notes=result["notes"],
         )
 
     # -- sections -----------------------------------------------------------
@@ -535,14 +410,9 @@ class FACTAuditor:
         The headline fairness section audits one attribute; if more are
         declared, the worst *intersection* may be worse than any
         marginal — the report should say so rather than average it away.
-        Takes the sensitive columns as arrays so the sharded path can
-        feed concatenated shard partials instead of a whole table (a
-        `Table` is accepted and read column-by-column).
+        ``sensitive_columns`` maps each sensitive column's name to its
+        values (the shard partials, concatenated).
         """
-        if isinstance(sensitive_columns, Table):
-            table = sensitive_columns
-            sensitive_columns = {name: table.column(name)
-                                 for name in table.schema.sensitive_names}
         if len(sensitive_columns) < 2:
             return None
         from repro.fairness.intersectional import intersectional_audit
@@ -568,8 +438,8 @@ class FACTAuditor:
         A small test set can only *detect* large selection gaps; when the
         minimum detectable gap exceeds what the four-fifths rule needs to
         see, a "pass" is statistically meaningless and the report says so.
-        ``group`` is the audited sensitive column's values (whole-table,
-        or concatenated shard partials — identical arrays either way).
+        ``group`` is the audited sensitive column's values (the shard
+        partials, concatenated).
         """
         from repro.accuracy.power import minimum_detectable_gap
 
@@ -593,29 +463,16 @@ class FACTAuditor:
             )
         return None
 
-    def _accuracy(self, model, test, labels, probabilities, decisions,
-                  calibration, rng, store=None) -> AccuracySection:
-        return self._accuracy_core(
-            model, labels, probabilities, decisions, calibration, rng,
-            store=store,
-            n_test_rows=test.n_rows,
-            x_test=lambda: model.encoder.transform(test),
-            sensitive_names=tuple(test.schema.sensitive_names),
-            group=test.sensitive,
-        )
-
-    def _accuracy_core(self, model, labels, probabilities, decisions,
-                       calibration, rng, store=None, *,
-                       n_test_rows: int,
-                       x_test, sensitive_names: tuple,
-                       group) -> AccuracySection:
-        """The accuracy section from arrays (shared by both plans).
+    def _accuracy(self, model, labels, probabilities, decisions,
+                  calibration, rng, store=None, *,
+                  x_test, sensitive_names: tuple,
+                  group) -> AccuracySection:
+        """The accuracy section from the concatenated partial arrays.
 
         ``x_test`` and ``group`` are zero/one-argument callables — the
         encoded test matrix and a sensitive column — evaluated only when
-        a conformal check actually needs them, so the serial path never
-        encodes twice and the sharded path only concatenates ``X``
-        partials when calibration data exists.
+        a conformal check actually needs them, so the ``X`` partials are
+        only concatenated when calibration data exists.
         """
         acc_ci = bootstrap_paired_ci(
             labels, decisions, accuracy_metric, rng,
@@ -663,22 +520,14 @@ class FACTAuditor:
             conformal_coverage=coverage,
             conformal_mean_set_size=set_size,
             conformal_coverage_by_group=by_group,
-            n_test_rows=n_test_rows,
+            n_test_rows=int(labels.size),
         )
 
-    def _confidentiality(self, test: Table,
-                         accountant) -> ConfidentialitySection:
-        risk = None
-        if test.schema.quasi_identifier_names:
-            risk = assess_risk(test)
-        return self._confidentiality_section(test.schema, risk, accountant)
-
     @staticmethod
-    def _confidentiality_section(schema, risk,
-                                 accountant) -> ConfidentialitySection:
+    def _confidentiality(schema, risk, accountant) -> ConfidentialitySection:
         """Assemble the section from a (possibly merged) risk profile.
 
-        The sharded path computes ``risk`` by exactly merging per-shard
+        The plan computes ``risk`` by exactly merging per-shard
         equivalence-class counts (:func:`repro.data.merge_counts` +
         :func:`repro.confidentiality.risk_from_counts`), which
         reproduces :func:`~repro.confidentiality.assess_risk` on the
@@ -699,16 +548,8 @@ class FACTAuditor:
             section.ledger_entries = len(accountant.ledger)
         return section
 
-    def _transparency(self, model, test, labels, rng,
-                      pipeline_result, store=None) -> TransparencySection:
-        return self._transparency_core(
-            model, model.encoder.transform(test), labels, rng,
-            pipeline_result, store=store,
-        )
-
-    def _transparency_core(self, model, X, labels, rng,
-                           pipeline_result,
-                           store=None) -> TransparencySection:
+    def _transparency(self, model, X, labels, rng, pipeline_result,
+                      store=None) -> TransparencySection:
         """The transparency section from the encoded matrix + labels."""
         fidelity = leaves = None
         try:

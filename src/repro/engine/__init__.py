@@ -16,9 +16,10 @@ Three subsystems run on it:
 
 * :class:`repro.pipeline.Pipeline` builds a *linear* plan (one node per
   stage, shared-rng continuity, stage spans and provenance unchanged);
-* :class:`repro.core.FACTAuditor` builds a four-node *pillar* plan whose
-  fairness/accuracy/confidentiality/transparency sections execute
-  concurrently and re-audit incrementally with no hand-written keys;
+* :class:`repro.core.FACTAuditor` builds a map/combine plan over the
+  test data's shards whose fairness/accuracy/confidentiality/
+  transparency sections execute concurrently and re-audit
+  incrementally with no hand-written keys;
 * :class:`repro.serve.QueryPlanner` represents every served query as a
   one-node plan whose ``key_parts`` reproduce the historical answer
   digests exactly.

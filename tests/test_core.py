@@ -245,11 +245,18 @@ def test_intersectional_note_with_two_sensitive_attributes(rng):
     rigged = decisions.copy()
     rigged[cell] = 0.0
     note = Auditor._intersectional_note(
-        test, rigged, report.fairness
+        {name: test.column(name) for name in test.schema.sensitive_names},
+        rigged, report.fairness,
     )
     assert note is not None
     assert "age_band=old & group=B" in note
     assert baseline_notes == [] or "exceeds" in baseline_notes[0]
+
+
+@pytest.mark.parametrize("shards", (0, -3, 2.5, "4"))
+def test_auditor_rejects_bad_shard_counts(shards):
+    with pytest.raises(DataError, match="shards"):
+        FACTAuditor(shards=shards)
 
 
 def test_report_to_dict_is_json_serialisable(audited):

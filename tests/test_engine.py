@@ -364,9 +364,11 @@ def _audit(audit_subject, *, store=None, n_jobs=1, backend="serial", **kw):
 def test_audit_plan_has_four_concurrent_sections(audit_subject):
     model, test = audit_subject
     plan = FACTAuditor().build_plan(model, test)
-    assert len(plan.levels()) == 1
-    assert sorted(node.name for node in plan.nodes) == [
-        "accuracy", "confidentiality", "fairness", "transparency",
+    levels = [sorted(node.name for node in level) for level in plan.levels()]
+    assert levels == [
+        ["partial.shard0"],
+        ["accuracy", "confidentiality", "fairness", "transparency"],
+        ["notes"],
     ]
     assert plan.node("accuracy").rng == "spawn"
     assert plan.node("transparency").rng == "spawn"

@@ -4,8 +4,9 @@ The contract under test is ISSUE 10's tentpole: ``partition``/``concat``
 round-trip byte-identically, per-shard fingerprints compose into one
 dataset identity, the shard-map engine template fans out as process
 tasks with per-shard cache keys and spilled partials, and the sharded
-FACT audit is **byte-identical** to the serial unsharded path at every
-shard count, worker count, backend, and store setting.
+FACT audit is **byte-identical** to the whole-table report (pinned in
+``tests/test_audit_golden.py``) at every shard count, worker count,
+backend, and store setting.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.learn.linear import LogisticRegression
 from repro.learn.table_model import TableClassifier
 from repro.store import ArtifactStore, MemoryBackend, table_fingerprint
 from repro.store.store import Spilled
+from tests.test_audit_golden import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -261,12 +263,9 @@ class TestShardMap:
 
 class TestShardedAuditByteIdentity:
     @pytest.fixture(scope="class")
-    def serial_fingerprint(self, fitted):
-        model, calibration, test = fitted
-        report = _auditor().audit(
-            model, test, np.random.default_rng(99), calibration=calibration
-        )
-        return report.fingerprint()
+    def serial_fingerprint(self):
+        # The digest the whole-table plan produced for this audit.
+        return GOLDEN["census_calibrated"]
 
     @pytest.mark.parametrize("n_shards", (1, 4, 7))
     @pytest.mark.parametrize("n_jobs", (1, 2, 4))
@@ -307,7 +306,7 @@ class TestIncrementalShardedReaudit:
         store = ArtifactStore(MemoryBackend(), name="inc")
         auditor = _auditor(store=store)
         executor = Executor(n_jobs=1, name="audit")
-        plan = auditor.build_sharded_plan(
+        plan = auditor.build_plan(
             model, parts, calibration, store=store
         )
         cold = executor.run(plan, store=store, rng=np.random.default_rng(1))
@@ -320,7 +319,7 @@ class TestIncrementalShardedReaudit:
         edited = parts.replaced(
             2, shard.with_column(shard.schema["hours_per_week"], hours)
         )
-        replan = auditor.build_sharded_plan(
+        replan = auditor.build_plan(
             model, edited, calibration, store=store
         )
         rerun = executor.run(replan, store=store,
@@ -337,8 +336,7 @@ class TestIncrementalShardedReaudit:
 
         # An identical rebuild replays everything.
         warm = executor.run(
-            auditor.build_sharded_plan(model, parts, calibration,
-                                       store=store),
+            auditor.build_plan(model, parts, calibration, store=store),
             store=store, rng=np.random.default_rng(1),
         )
         assert set(warm.statuses.values()) == {"hit"}

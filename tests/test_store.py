@@ -23,6 +23,7 @@ from repro.accuracy.bootstrap import IntervalEstimate, bootstrap_ci
 from repro.core.auditor import FACTAuditor
 from repro.core.report import FACTReport
 from repro.core.scorecard import GreenScorecard, build_scorecard
+from repro.data import partition
 from repro.data.synth import CreditScoringGenerator
 from repro.exceptions import DataError
 from repro.fairness.report import FairnessReport, audit_model
@@ -439,8 +440,12 @@ def test_fact_audit_replays_bit_identically(audit_setup):
     assert bare.render() == cold.render()
 
 
-def test_fact_audit_recomputes_only_the_invalidated_section(audit_setup):
+@pytest.mark.parametrize("layout", ("table", "four_shards"))
+def test_fact_audit_recomputes_only_the_invalidated_section(audit_setup,
+                                                            layout):
     model, _, test, calibration = audit_setup
+    if layout == "four_shards":
+        test = partition(test, n_shards=4)
     store = ArtifactStore()
     auditor = FACTAuditor(n_bootstrap=40, store=store)
     auditor.audit(model, test, np.random.default_rng(7),
