@@ -16,6 +16,10 @@ implementations carried along as executable baselines:
 * **Engine stage fusion** — a warm cached linear table plan run with
   ``Executor(fuse=True)`` vs unfused: one store round-trip and zero
   intermediate-value fingerprints per chain, byte-identical results.
+* **ROC AUC** — run-boundary midranks vs the historical midrank
+  ``while`` loop, per call and per 250-resample paired bootstrap (the
+  batched ``roc_auc.resamples`` kernel vs the loop called per
+  resample).  AUCs and intervals must be bit-identical.
 
 Every run appends a ``mode="experiment"`` record to ``BENCH_learn.json``
 via :func:`repro.bench.run_once` — the same trajectory file the suite's
@@ -39,10 +43,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks._tools import SEED, emit, format_table  # noqa: E402
+from repro.accuracy.bootstrap import bootstrap_paired_ci  # noqa: E402
 from repro.bench import run_once  # noqa: E402
 from repro.data.schema import ColumnRole, Schema, numeric  # noqa: E402
 from repro.data.table import Table  # noqa: E402
 from repro.engine import Executor, Node, Plan  # noqa: E402
+from repro.exceptions import DataError  # noqa: E402
+from repro.learn.metrics import roc_auc  # noqa: E402
 from repro.learn.mlp import MLPClassifier  # noqa: E402
 from repro.learn.neighbors import (  # noqa: E402
     nearest_indices,
@@ -54,9 +61,9 @@ from repro.store import ArtifactStore, MemoryBackend  # noqa: E402
 #: Full-size floors (ISSUE 8 acceptance criteria); smoke floors under
 #: ``--check`` are deliberately loose — CI runners are noisy.
 FULL_FLOORS = {"tree_fit": 3.0, "knn": 5.0, "mlp_epoch": 1.5,
-               "fusion": 1.0}
+               "fusion": 1.0, "auc": 4.0, "auc_bootstrap": 8.0}
 SMOKE_FLOORS = {"tree_fit": 2.0, "knn": 1.5, "mlp_epoch": 1.1,
-                "fusion": 1.0}
+                "fusion": 1.0, "auc": 2.0, "auc_bootstrap": 2.0}
 
 
 def _timed(fn, repeats: int):
@@ -223,6 +230,30 @@ def naive_mlp_fit(model: MLPClassifier, X, y):
     return model._weights, model._biases
 
 
+def naive_roc_auc(y_true, scores):
+    """The historical ROC AUC: midranks from a Python ``while`` loop."""
+    n_pos = int(np.sum(y_true == 1.0))
+    n_neg = len(y_true) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("ROC AUC requires both classes present")
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    index = 0
+    while index < len(scores):
+        tie_end = index
+        while (tie_end + 1 < len(scores)
+               and sorted_scores[tie_end + 1] == sorted_scores[index]):
+            tie_end += 1
+        midrank = 0.5 * (index + tie_end) + 1.0
+        ranks[order[index:tie_end + 1]] = midrank
+        index = tie_end + 1
+    positive_rank_sum = ranks[y_true == 1.0].sum()
+    return float(
+        (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    )
+
+
 # -- fusion workload -------------------------------------------------------
 
 
@@ -266,10 +297,12 @@ def main(argv=None) -> int:
     if args.smoke:
         n_train, n_query, k = 1200, 400, 10
         epochs, fusion_rows, fusion_stages = 3, 20_000, 8
+        auc_rows = 3000
         knn_pool_rows = None            # search the training set
     else:
         n_train, n_query, k = 6000, 800, 10
         epochs, fusion_rows, fusion_stages = 8, 40_000, 8
+        auc_rows = 12_000
         # Dedicated situation-testing-sized pool: at full size the k-NN
         # claim is about searching a large population, where the full
         # argsort baseline degrades fastest.
@@ -379,6 +412,33 @@ def main(argv=None) -> int:
         failures.append("FUSION MISMATCH: warm fused run was not all hits")
     speedups["fusion"] = unfused_s / fused_s if fused_s else 0.0
 
+    # -- ROC AUC: run-boundary midranks + batched resamples vs loop -----
+    auc_labels = (rng.random(auc_rows) < 0.3).astype(np.float64)
+    auc_scores = 1.0 / (1.0 + np.exp(-(auc_labels
+                                       + rng.standard_normal(auc_rows))))
+    fast_auc, fast_auc_s = _timed(
+        lambda: roc_auc(auc_labels, auc_scores), repeats + 3
+    )
+    naive_auc, naive_auc_s = _timed(
+        lambda: naive_roc_auc(auc_labels, auc_scores), repeats + 3
+    )
+    if fast_auc != naive_auc:
+        failures.append("AUC MISMATCH: vectorized AUC differs")
+    speedups["auc"] = naive_auc_s / fast_auc_s if fast_auc_s else 0.0
+
+    def auc_interval(metric):
+        return bootstrap_paired_ci(
+            auc_labels, auc_scores, metric, np.random.default_rng(SEED),
+            n_resamples=250, n_jobs=1,
+        )
+
+    fast_ci, fast_ci_s = _timed(lambda: auc_interval(roc_auc), repeats)
+    naive_ci, naive_ci_s = _timed(lambda: auc_interval(naive_roc_auc), 1)
+    if fast_ci != naive_ci:
+        failures.append("AUC MISMATCH: bootstrap intervals differ")
+    speedups["auc_bootstrap"] = (naive_ci_s / fast_ci_s
+                                 if fast_ci_s else 0.0)
+
     floors = {}
     if not args.smoke:
         floors = FULL_FLOORS
@@ -404,6 +464,8 @@ def main(argv=None) -> int:
             "knn_speedup": round(speedups["knn"], 3),
             "mlp_epoch_speedup": round(speedups["mlp_epoch"], 3),
             "fusion_warm_speedup": round(speedups["fusion"], 3),
+            "auc_speedup": round(speedups["auc"], 3),
+            "auc_bootstrap_speedup": round(speedups["auc_bootstrap"], 3),
             "n_train": n_train,
         },
     )
@@ -428,6 +490,12 @@ def main(argv=None) -> int:
              speedups["fusion"],
              "NO" if any(f.startswith("FUSION") for f in failures)
              else "yes"],
+            [f"ROC AUC ({auc_rows} rows)", fast_auc_s, naive_auc_s,
+             speedups["auc"],
+             "NO" if any(f.startswith("AUC") for f in failures) else "yes"],
+            ["AUC bootstrap (250 resamples)", fast_ci_s, naive_ci_s,
+             speedups["auc_bootstrap"],
+             "NO" if any(f.startswith("AUC") for f in failures) else "yes"],
         ],
     )
     if args.smoke:

@@ -12,6 +12,15 @@ evaluation is embarrassingly parallel: pass ``n_jobs`` to fan it out
 via :mod:`repro.parallel` with results guaranteed identical for any
 ``n_jobs`` and backend (randomness is fixed before the first worker
 starts, and estimates are assembled by resample index).
+
+A paired metric may instead evaluate every resample at once: when it
+carries ``metric.resamples(y_true, y_pred, indices)`` — one estimate per
+row of ``indices``, NaN for a degenerate row — :func:`bootstrap_paired_ci`
+calls that batched kernel and skips both the per-resample loop and
+``pmap``.  :func:`~repro.learn.metrics.roc_auc` and
+:func:`~repro.learn.metrics.accuracy` carry bit-exact kernels.  A wrapper
+around a metric takes the batched path only if it forwards
+``resamples`` itself.
 """
 
 from __future__ import annotations
@@ -166,10 +175,19 @@ def bootstrap_paired_ci(y_true, y_pred,
     friends — :data:`_DEGENERATE_ERRORS`) are skipped and *counted* in
     the result's ``n_skipped``; any other exception from the metric is a
     bug and propagates.  ``n_jobs`` parallelises the metric evaluations
-    with identical results for every setting.  ``store`` memoises the
-    interval keyed on data content + metric code + parameters + rng
-    state (``None`` defers to ``$REPRO_STORE``); ``n_jobs``/``backend``
-    stay out of the key because results are identical across them.
+    with identical results for every setting.
+
+    A metric with a ``resamples(y_true, y_pred, indices)`` attribute is
+    evaluated by that batched kernel instead, in one call on the
+    coordinator (``n_jobs`` and ``backend`` are then unused): it returns
+    one estimate per row of the ``(n_resamples, n)`` index matrix, NaN
+    where the row is degenerate, and must equal the metric applied row
+    by row.
+
+    ``store`` memoises the interval keyed on data content + metric code
+    (and the kernel's code, when there is one) + parameters + rng state
+    (``None`` defers to ``$REPRO_STORE``); ``n_jobs``/``backend`` stay
+    out of the key because results are identical across them.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -177,12 +195,16 @@ def bootstrap_paired_ci(y_true, y_pred,
         raise DataError("y_true and y_pred must be aligned 1-D arrays")
     if len(y_true) < 2:
         raise DataError("need at least 2 pairs")
+    kernel = getattr(metric, "resamples", None)
 
     def compute() -> IntervalEstimate:
         n = len(y_true)
         indices = rng.integers(0, n, size=(n_resamples, n))
         worker = _ResampleMetric(y_true, y_pred, metric)
-        if resolve_n_jobs(n_jobs) == 1:
+        if kernel is not None:
+            estimates = np.asarray(kernel(y_true, y_pred, indices),
+                                   dtype=np.float64)
+        elif resolve_n_jobs(n_jobs) == 1:
             estimates = np.array([worker(row) for row in indices])
         else:
             estimates = np.array(pmap(
@@ -206,14 +228,14 @@ def bootstrap_paired_ci(y_true, y_pred,
     store = resolve_store(store)
     if store is None:
         return compute()
-    return store.memoize(
-        {
-            "stage": "bootstrap_paired_ci",
-            "y_true": array_fingerprint(y_true),
-            "y_pred": array_fingerprint(y_pred),
-            "metric": code_fingerprint(metric),
-            "confidence": confidence,
-            "n_resamples": n_resamples,
-        },
-        compute, rng=rng,
-    )
+    key = {
+        "stage": "bootstrap_paired_ci",
+        "y_true": array_fingerprint(y_true),
+        "y_pred": array_fingerprint(y_pred),
+        "metric": code_fingerprint(metric),
+        "confidence": confidence,
+        "n_resamples": n_resamples,
+    }
+    if kernel is not None:
+        key["resamples"] = code_fingerprint(kernel)
+    return store.memoize(key, compute, rng=rng)

@@ -91,10 +91,43 @@ def confusion_matrix(y_true, y_pred) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
+#: Elements per temporary in the blocked resample kernels: large enough
+#: to amortise NumPy call overhead, small enough to stay in cache and
+#: off the process's peak RSS.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(indices: np.ndarray, row_elements: int):
+    """``(start, rows)`` slices of ``indices`` of about
+    :data:`_BLOCK_ELEMENTS` elements, given each row's temporary size."""
+    block = max(1, _BLOCK_ELEMENTS // max(1, row_elements))
+    for start in range(0, len(indices), block):
+        yield start, indices[start:start + block]
+
+
 def accuracy(y_true, y_pred) -> float:
     """Fraction of exact matches."""
     y_true, y_pred = _check_pair(y_true, y_pred)
     return float(np.mean(y_true == y_pred))
+
+
+def _accuracy_resamples(y_true, y_pred, indices) -> np.ndarray:
+    """:func:`accuracy` of every row of ``indices`` at once.
+
+    Each row's match count is an exact integer, so ``count / n`` is the
+    same correctly rounded quotient ``np.mean`` returns per row.
+    """
+    y_true, y_pred = _check_pair(y_true, y_pred)
+    correct = (y_true == y_pred).astype(np.int64)
+    indices = np.asarray(indices)
+    out = np.empty(len(indices), dtype=np.float64)
+    for start, rows in _row_blocks(indices, indices.shape[1]):
+        out[start:start + len(rows)] = (correct[rows].sum(axis=1)
+                                        / indices.shape[1])
+    return out
+
+
+accuracy.resamples = _accuracy_resamples
 
 
 def precision(y_true, y_pred) -> float:
@@ -112,10 +145,30 @@ def f1_score(y_true, y_pred) -> float:
     return confusion_matrix(y_true, y_pred).f1
 
 
+def _tie_runs(sorted_scores: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values, plus the end offset.
+
+    ``!=`` rather than ``np.diff``: ``inf - inf`` is NaN, so a diff would
+    split runs of ``±inf`` that compare equal; NaNs never compare equal,
+    so each one is a run of its own.
+    """
+    starts = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    return np.concatenate(([0], starts, [len(sorted_scores)]))
+
+
+def _auc_from_rank_sum(positive_rank_sum, n_pos, n_neg):
+    """The Mann-Whitney AUC; one expression for every path, so their
+    floats agree bit for bit."""
+    return (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def roc_auc(y_true, scores) -> float:
     """Area under the ROC curve via the rank (Mann-Whitney) formulation.
 
-    Ties in the scores receive the usual midrank treatment.
+    Ties in the scores receive the usual midrank treatment.  Midranks
+    are half-integers, so the positive-rank sum is exact in float64 in
+    any summation order.  ``roc_auc.resamples`` evaluates many bootstrap
+    resamples in one batched kernel (see :func:`bootstrap_paired_ci`).
     """
     y_true, scores = _check_pair(y_true, scores)
     n_pos = int(np.sum(y_true == 1.0))
@@ -123,21 +176,65 @@ def roc_auc(y_true, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC AUC requires both classes present")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    index = 0
-    while index < len(scores):
-        tie_end = index
-        while (tie_end + 1 < len(scores)
-               and sorted_scores[tie_end + 1] == sorted_scores[index]):
-            tie_end += 1
-        midrank = 0.5 * (index + tie_end) + 1.0
-        ranks[order[index:tie_end + 1]] = midrank
-        index = tie_end + 1
-    positive_rank_sum = ranks[y_true == 1.0].sum()
-    return float(
-        (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    )
+    runs = _tie_runs(scores[order])
+    midranks = np.repeat(0.5 * (runs[:-1] + runs[1:] - 1) + 1.0,
+                         np.diff(runs))
+    positive_rank_sum = midranks[y_true[order] == 1.0].sum()
+    return float(_auc_from_rank_sum(positive_rank_sum, n_pos, n_neg))
+
+
+def _roc_auc_resamples(y_true, scores, indices) -> np.ndarray:
+    """:func:`roc_auc` of every row of ``indices``; NaN where it raises.
+
+    The scores are sorted once and each original row gets the id of its
+    tie group.  A resample's midranks then follow from how many of its
+    rows fall in each group: a group of ``count`` rows after ``before``
+    smaller ones has twice-midrank ``2*before + count + 1``, an integer,
+    so the positive-rank sum is exact and the AUC comes from the same
+    float expression as :func:`roc_auc`.  NaN scores rank by their
+    position within each resample, which no tie group can express, so
+    those inputs are evaluated row by row.
+    """
+    y_true, scores = _check_pair(y_true, scores)
+    indices = np.asarray(indices)
+    if np.isnan(scores).any():
+        return np.array([_auc_or_nan(y_true[row], scores[row])
+                         for row in indices], dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    runs = _tie_runs(scores[order])
+    n_groups = len(runs) - 1
+    group = np.empty(len(scores), dtype=np.int64)
+    group[order] = np.repeat(np.arange(n_groups), np.diff(runs))
+    positive = y_true == 1.0
+    width = indices.shape[1]
+    out = np.empty(len(indices), dtype=np.float64)
+    for start, rows in _row_blocks(indices, max(n_groups, width)):
+        size = len(rows)
+        cells = (group[rows]
+                 + n_groups * np.arange(size, dtype=np.int64)[:, None])
+        count = np.bincount(cells.ravel(), minlength=size * n_groups
+                            ).reshape(size, n_groups)
+        pos = np.bincount(cells[positive[rows]], minlength=size * n_groups
+                          ).reshape(size, n_groups)
+        before = np.cumsum(count, axis=1) - count
+        twice_rank_sum = (pos * (2 * before + count + 1)).sum(axis=1)
+        n_pos = pos.sum(axis=1)
+        n_neg = width - n_pos
+        with np.errstate(divide="ignore", invalid="ignore"):
+            auc = _auc_from_rank_sum(0.5 * twice_rank_sum, n_pos, n_neg)
+        auc[(n_pos == 0) | (n_neg == 0)] = np.nan
+        out[start:start + size] = auc
+    return out
+
+
+def _auc_or_nan(y_true, scores) -> float:
+    try:
+        return roc_auc(y_true, scores)
+    except DataError:
+        return float("nan")
+
+
+roc_auc.resamples = _roc_auc_resamples
 
 
 def roc_curve(y_true, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

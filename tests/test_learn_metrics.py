@@ -66,6 +66,112 @@ def test_auc_requires_both_classes():
         roc_auc(np.ones(4), np.linspace(0, 1, 4))
 
 
+def _loop_roc_auc(y_true, scores):
+    """The historical midrank ``while`` loop, kept as the reference."""
+    y_true = np.asarray(y_true, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(np.sum(y_true == 1.0))
+    n_neg = len(y_true) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("ROC AUC requires both classes present")
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    index = 0
+    while index < len(scores):
+        tie_end = index
+        while (tie_end + 1 < len(scores)
+               and sorted_scores[tie_end + 1] == sorted_scores[index]):
+            tie_end += 1
+        midrank = 0.5 * (index + tie_end) + 1.0
+        ranks[order[index:tie_end + 1]] = midrank
+        index = tie_end + 1
+    positive_rank_sum = ranks[y_true == 1.0].sum()
+    return float(
+        (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    )
+
+
+def _scores(kind, n, g):
+    scores = g.random(n)
+    if kind == "tied":
+        return np.round(scores, 2)
+    if kind == "three_level":
+        return g.integers(0, 3, n).astype(np.float64)
+    if kind == "inf":
+        scores = np.round(scores, 1)
+        scores[g.random(n) < 0.2] = np.inf
+        scores[g.random(n) < 0.2] = -np.inf
+    elif kind == "nan":
+        scores[g.random(n) < 0.1] = np.nan
+    return scores
+
+
+def _labels(n, g):
+    y = (g.random(n) < 0.3).astype(np.float64)
+    y[:2] = [0.0, 1.0]  # both classes even at n=2
+    return y
+
+
+SCORE_KINDS = ["continuous", "tied", "three_level", "inf", "nan"]
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 100, 12_000])
+def test_auc_bit_identical_to_midrank_loop(kind, n):
+    g = np.random.default_rng(n)
+    y = _labels(n, g)
+    scores = _scores(kind, n, g)
+    assert roc_auc(y, scores) == _loop_roc_auc(y, scores)
+
+
+def test_auc_merges_infinite_ties():
+    # inf - inf is NaN: a diff-based run split would separate these.
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    scores = np.array([np.inf, np.inf, -np.inf, -np.inf])
+    assert roc_auc(y, scores) == 0.5 == _loop_roc_auc(y, scores)
+
+
+def _per_row_auc(y, scores, indices):
+    out = []
+    for row in indices:
+        try:
+            out.append(roc_auc(y[row], scores[row]))
+        except DataError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 100, 2_000])
+def test_auc_resamples_match_per_row_auc(kind, n):
+    g = np.random.default_rng(n + 1)
+    y = _labels(n, g)
+    scores = _scores(kind, n, g)
+    indices = g.integers(0, n, size=(50, n))
+    batched = roc_auc.resamples(y, scores, indices)
+    assert np.array_equal(batched, _per_row_auc(y, scores, indices),
+                          equal_nan=True)
+
+
+def test_auc_resamples_mark_single_class_rows_nan():
+    y = np.array([1.0] + [0.0] * 7)
+    scores = np.linspace(0.0, 1.0, 8)
+    indices = np.array([[1, 2, 3, 4, 5, 6, 7, 1], [0, 1, 2, 3, 4, 5, 6, 7]])
+    batched = roc_auc.resamples(y, scores, indices)
+    assert np.isnan(batched[0])
+    assert batched[1] == roc_auc(y, scores)
+
+
+def test_accuracy_resamples_match_per_row_accuracy():
+    g = np.random.default_rng(7)
+    y = (g.random(300) < 0.4).astype(np.float64)
+    y_pred = (g.random(300) < 0.5).astype(np.float64)
+    indices = g.integers(0, 300, size=(40, 300))
+    expected = np.array([accuracy(y[row], y_pred[row]) for row in indices])
+    assert np.array_equal(accuracy.resamples(y, y_pred, indices), expected)
+
+
 def test_roc_curve_endpoints():
     y = np.array([0, 0, 1, 1], dtype=float)
     scores = np.array([0.1, 0.4, 0.35, 0.8])

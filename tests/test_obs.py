@@ -197,10 +197,10 @@ def test_serve_stats_expose_latency_percentiles():
     import numpy as np
 
     from repro.data.synth import CensusIncomeGenerator
-    from repro.serve import QueryServer
+    from repro.serve import QueryServer, ServeConfig
 
     rng = np.random.default_rng(0)
-    server = QueryServer(workers=1, seed=0)
+    server = QueryServer(ServeConfig(workers=1, seed=0))
     server.register_table("census", CensusIncomeGenerator().generate(200, rng))
     server.register_tenant("t", epsilon_budget=10.0)
     with server:

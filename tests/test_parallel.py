@@ -7,6 +7,9 @@ worker crash must surface on the coordinator carrying the index and
 repr of the task that died.
 """
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from repro.accuracy.bootstrap import bootstrap_ci, bootstrap_paired_ci
 from repro.accuracy.forking_paths import hunt_spurious_predictors
 from repro.exceptions import DataError
 from repro.learn.linear import LogisticRegression
-from repro.learn.metrics import roc_auc
+from repro.learn.metrics import accuracy, roc_auc
 from repro.learn.model_selection import cross_val_score, grid_search
 from repro.parallel import (
     BACKENDS,
@@ -26,6 +29,7 @@ from repro.parallel import (
     spawn_rngs,
     spawn_seeds,
 )
+from repro.store import ArtifactStore
 from repro.transparency.importance import permutation_importance
 from repro.transparency.shapley import ShapleyExplainer
 
@@ -299,3 +303,93 @@ def test_paired_ci_parallel_matches_serial_including_skips():
                                    np.random.default_rng(43),
                                    n_resamples=150, n_jobs=4)
     assert parallel == serial
+
+
+# -- batched resample kernels (metric.resamples) ----------------------------
+
+def _accuracy_metric(y_true, y_pred):
+    return accuracy(y_true, y_pred)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_paired_ci_kernels_match_the_per_resample_loop(n_jobs, backend):
+    # roc_auc and accuracy carry batched kernels; their plain wrappers do
+    # not, so they take the per-resample loop (or pmap).  Every route
+    # must give the same interval, skipped-resample count included.
+    g = np.random.default_rng(47)
+    y_true = (g.random(30) < 0.15).astype(np.float64)
+    y_true[0] = 1.0
+    scores = np.round(g.random(30), 1)
+    decisions = (scores > 0.5).astype(np.float64)
+    for batched, plain, y_pred in ((roc_auc, _auc_metric, scores),
+                                   (accuracy, _accuracy_metric, decisions)):
+        reference = bootstrap_paired_ci(y_true, y_pred, plain,
+                                        np.random.default_rng(53),
+                                        n_resamples=120, n_jobs=1)
+        for metric in (batched, plain):
+            assert bootstrap_paired_ci(
+                y_true, y_pred, metric, np.random.default_rng(53),
+                n_resamples=120, n_jobs=n_jobs, backend=backend,
+            ) == reference
+    auc = bootstrap_paired_ci(y_true, scores, roc_auc,
+                              np.random.default_rng(53), n_resamples=120)
+    assert auc.n_skipped > 0
+
+
+def _call_counts(fn, *args, **kwargs) -> Counter:
+    """Calls per code object made on this thread while ``fn`` runs."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_paired_ci_calls_the_auc_kernel_not_auc_per_resample():
+    g = np.random.default_rng(61)
+    y_true = (g.random(200) < 0.4).astype(np.float64)
+    scores = g.random(200)
+    calls = _call_counts(bootstrap_paired_ci, y_true, scores, roc_auc,
+                         np.random.default_rng(67), n_resamples=100,
+                         n_jobs=2)
+    assert calls[roc_auc.resamples.__code__] == 1
+    assert calls[roc_auc.__code__] == 1  # the point estimate only
+    assert calls[pmap.__code__] == 0
+
+
+def test_paired_ci_memo_key_covers_the_resamples_kernel():
+    # Editing a metric's kernel must not replay intervals the old kernel
+    # computed, even though the metric's own code is unchanged.
+    def metric(y_true, y_pred):
+        return roc_auc(y_true, y_pred)
+
+    def edited_kernel(y_true, y_pred, indices):
+        return roc_auc.resamples(y_true, y_pred, indices) + 0.0
+
+    g = np.random.default_rng(71)
+    y_true = (g.random(60) < 0.4).astype(np.float64)
+    scores = g.random(60)
+    store = ArtifactStore.in_memory()
+
+    def run():
+        return bootstrap_paired_ci(y_true, scores, metric,
+                                   np.random.default_rng(73),
+                                   n_resamples=50, store=store)
+
+    metric.resamples = roc_auc.resamples
+    first = run()
+    hits = store.hits
+    assert run() == first
+    assert store.hits == hits + 1
+    metric.resamples = edited_kernel
+    misses = store.misses
+    assert run() == first
+    assert store.misses == misses + 1

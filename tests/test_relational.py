@@ -578,9 +578,10 @@ class TestRegistryAndServe:
             users_table())
 
     def test_query_server_register_dataset(self):
-        from repro.serve import QueryServer
+        from repro.serve import QueryServer, ServeConfig
 
-        server = QueryServer(seed=0).register_dataset(small_dataset())
+        server = QueryServer(ServeConfig(seed=0)).register_dataset(
+            small_dataset())
         assert "users" in server.planner.table_names
         assert "txns" in server.planner.table_names
         assert server.planner.table_version("users") == 1

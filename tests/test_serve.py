@@ -27,6 +27,7 @@ from repro.serve import (
     QueryPlanner,
     QueryRequest,
     QueryServer,
+    ServeConfig,
 )
 
 
@@ -35,8 +36,9 @@ def served_table(small_table):
     return small_table
 
 
-def make_server(table, workers=1, **kwargs):
-    server = QueryServer(workers=workers, seed=7, **kwargs)
+def make_server(table, workers=1, admission=None, **config):
+    server = QueryServer(ServeConfig(workers=workers, seed=7, **config),
+                         admission=admission)
     server.register_table("t", table)
     return server
 
@@ -239,7 +241,7 @@ def test_cache_shared_across_tenants_by_default(served_table):
 
 
 def test_cache_off_pays_every_time(served_table):
-    server = make_server(served_table, cache=None)
+    server = make_server(served_table, cache=False)
     server.register_tenant("a", epsilon_budget=1.0)
     first = server.query(mean_request())
     second = server.query(mean_request())
@@ -319,7 +321,7 @@ def test_auto_registration_with_default_budget(served_table):
 def test_concurrent_batch_respects_budget(served_table):
     # 40 *distinct* queries at ε=0.1 against a budget of 1.0: exactly 10
     # may commit, regardless of interleaving.
-    server = make_server(served_table, workers=8, cache=None)
+    server = make_server(served_table, workers=8, cache=False)
     server.register_tenant("a", epsilon_budget=1.0)
     requests = [mean_request(epsilon=0.1, lower=-float(i + 1))
                 for i in range(40)]
