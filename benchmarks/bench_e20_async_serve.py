@@ -13,6 +13,11 @@ ledgers, bounded-queue backpressure — with the
   workers) produces byte-identical values and identical per-tenant
   ε-ledgers under a fixed seed.
 
+It also serves the same trace with the answer cache off, so every
+query is a noisy DP release: ``release qps`` is the release path's own
+throughput, apart from the cache-hit and single-flight replays that
+make up most of the cached run.
+
 Every run appends a ``mode="experiment"`` record to
 ``BENCH_serve_load.json`` via :func:`repro.bench.run_once` — the same
 trajectory file the suite's smoke/full ``--check`` gate uses, kept
@@ -71,20 +76,22 @@ def _ledgers(server: QueryServer) -> dict:
 
 
 def _serve(table, requests, *, window_ms: float, workers: int,
-           mean_burst: int):
+           mean_burst: int, cache: bool = True, replay: bool = True):
     # Open-loop submission: size the bounded queue to the workload so
     # the throughput number is about serving, not shedding.
     config = ServeConfig(workers=workers, seed=SEED,
-                         batch_window_ms=window_ms,
+                         batch_window_ms=window_ms, cache=cache,
                          max_queue_depth=max(4096, len(requests)),
                          default_epsilon_budget=1e9)
     with QueryServer(config) as server:
         server.register_table(TABLE_NAME, table)
         report = run_load(server, requests, mean_burst=mean_burst,
                           seed=SEED)
-        values = [result.value for result in
-                  server.submit_batch(requests[: len(requests) // 4])]
-        ledgers = _ledgers(server)
+        values = ledgers = None
+        if replay:
+            values = [result.value for result in
+                      server.submit_batch(requests[: len(requests) // 4])]
+            ledgers = _ledgers(server)
     return report, values, ledgers
 
 
@@ -150,6 +157,13 @@ def main(argv=None) -> int:
     if report.statuses.get("ok") != report.queries:
         failures.append(f"LOAD FAILURES: statuses {report.statuses}")
 
+    # -- the release path alone: cache off, every query a DP release ------
+    release, _, _ = _serve(table, requests, window_ms=2.0, workers=2,
+                           mean_burst=mean_burst, cache=False, replay=False)
+    if release.statuses.get("ok") != release.queries:
+        failures.append(
+            f"RELEASE LOAD FAILURES: statuses {release.statuses}")
+
     floors = {}
     if not args.smoke:
         floors = FULL_FLOORS
@@ -175,6 +189,10 @@ def main(argv=None) -> int:
             "latency_ms": {key: round(value, 3)
                            for key, value in report.latency_ms.items()},
             "coalesced": report.batching["coalesced"],
+            "release_qps": round(release.qps, 1),
+            "release_latency_ms": {
+                key: round(value, 3)
+                for key, value in release.latency_ms.items()},
             "equivalent": not failures,
         },
     )
@@ -199,6 +217,9 @@ def main(argv=None) -> int:
             ["batches", report.batching["batches"]],
             ["coalesced", report.batching["coalesced"]],
             ["cache hit rate", (report.cache or {}).get("hit_rate")],
+            ["release qps (cache off)", round(release.qps, 1)],
+            ["release p99 latency (ms)",
+             round((release.latency_ms or {}).get("p99", 0.0), 3)],
             *equivalence_rows,
         ],
     )

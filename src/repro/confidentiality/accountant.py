@@ -16,6 +16,7 @@ Two composition accountants are provided:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -34,13 +35,51 @@ class LedgerEntry:
     delta: float
 
 
+#: Whether builtin ``sum`` of floats is Neumaier-compensated (CPython
+#: 3.12+); plain left-to-right addition gives 0.0 here.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+
+class _RunningSum:
+    """An O(1) running total equal, bit for bit, to builtin ``sum``.
+
+    Ledger totals feed report fingerprints, so the running total adds
+    left to right before CPython 3.12 and from 3.12 carries the same
+    Neumaier compensation ``sum`` does, folded in on read.  Empty, it is
+    the int ``0``, as ``sum(())`` is.
+    """
+
+    __slots__ = ("_total", "_compensation")
+
+    def __init__(self):
+        self._total = 0
+        self._compensation = 0.0
+
+    def add(self, value: float) -> None:
+        total, result = self._total, self._total + value
+        if _COMPENSATED_SUM:
+            if abs(total) >= abs(value):
+                self._compensation += (total - result) + value
+            else:
+                self._compensation += (value - result) + total
+        self._total = result
+
+    @property
+    def value(self) -> float:
+        compensation = self._compensation
+        if compensation and math.isfinite(compensation):
+            return self._total + compensation
+        return self._total
+
+
 class PrivacyAccountant:
     """Tracks (ε, δ) expenditure under basic composition.
 
     Thread-safe: :meth:`spend` holds an internal lock across the
     afford-check and the ledger append, so concurrent spenders (e.g. the
     :mod:`repro.serve` worker pool) cannot race the ledger past the
-    budget.
+    budget.  The ε and δ totals are kept running, so every read and
+    afford-check is O(1) however long the ledger grows.
     """
 
     def __init__(self, epsilon_budget: float, delta_budget: float = 0.0):
@@ -51,6 +90,8 @@ class PrivacyAccountant:
         self.epsilon_budget = float(epsilon_budget)
         self.delta_budget = float(delta_budget)
         self._ledger: list[LedgerEntry] = []
+        self._epsilon_total = _RunningSum()
+        self._delta_total = _RunningSum()
         self._lock = threading.RLock()
 
     # -- bookkeeping ------------------------------------------------------------
@@ -63,13 +104,15 @@ class PrivacyAccountant:
 
     @property
     def epsilon_spent(self) -> float:
-        """Total ε charged so far."""
-        return sum(entry.epsilon for entry in self._ledger)
+        """Total ε charged so far (``sum`` of the ledger's ε, exactly)."""
+        with self._lock:
+            return self._epsilon_total.value
 
     @property
     def delta_spent(self) -> float:
-        """Total δ charged so far."""
-        return sum(entry.delta for entry in self._ledger)
+        """Total δ charged so far (``sum`` of the ledger's δ, exactly)."""
+        with self._lock:
+            return self._delta_total.value
 
     @property
     def epsilon_remaining(self) -> float:
@@ -101,6 +144,19 @@ class PrivacyAccountant:
             except DataError:
                 return False
 
+    def can_spend_after(self, pending, epsilon: float,
+                        delta: float = 0.0) -> bool:
+        """Non-raising probe: can (ε, δ) be charged on top of ``pending``?
+
+        ``pending`` holds charges already promised but not yet on the
+        ledger (anything with ``.epsilon``/``.delta``, e.g. the serve
+        layer's reservations); the probe answers as if they had landed.
+        """
+        return self.can_spend(sum(charge.epsilon for charge in pending)
+                              + epsilon,
+                              sum(charge.delta for charge in pending)
+                              + delta)
+
     def spend(self, epsilon: float, delta: float = 0.0,
               label: str = "query") -> LedgerEntry:
         """Charge the budget or raise :class:`PrivacyBudgetError`."""
@@ -115,6 +171,8 @@ class PrivacyAccountant:
             entry = LedgerEntry(label=label, epsilon=float(epsilon),
                                 delta=float(delta))
             self._ledger.append(entry)
+            self._epsilon_total.add(entry.epsilon)
+            self._delta_total.add(entry.delta)
         telemetry = obs.get()
         if telemetry is not None:
             telemetry.metrics.counter("privacy.queries").inc()
@@ -211,16 +269,33 @@ class AdvancedAccountant(PrivacyAccountant):
             self.per_query_epsilon, k, self.delta_slack
         ))
 
+    def _affords(self, n_queries: int) -> bool:
+        """Does the n-query effective total fit the budget?"""
+        prospective = advanced_composition_epsilon(
+            self.per_query_epsilon, n_queries, self.delta_slack
+        )
+        return prospective <= self.epsilon_budget + 1e-12
+
     def can_afford(self, epsilon: float, delta: float = 0.0) -> bool:
         """Check the k+1-query effective total against the budget."""
         if abs(epsilon - self.per_query_epsilon) > 1e-9:
             raise DataError(
                 "AdvancedAccountant only charges its fixed per-query epsilon"
             )
-        prospective = advanced_composition_epsilon(
-            self.per_query_epsilon, len(self._ledger) + 1, self.delta_slack
-        )
-        return prospective <= self.epsilon_budget + 1e-12
+        return self._affords(len(self._ledger) + 1)
+
+    def can_spend_after(self, pending, epsilon: float,
+                        delta: float = 0.0) -> bool:
+        """Can one more query land on top of the ``pending`` ones?
+
+        Composition counts queries, so the probe is for
+        ``len(ledger) + len(pending) + 1`` queries at the fixed
+        per-query ε — not for one query of the pending ε summed.
+        """
+        if abs(epsilon - self.per_query_epsilon) > 1e-9:
+            return False
+        with self._lock:
+            return self._affords(len(self._ledger) + len(pending) + 1)
 
     @property
     def delta_spent(self) -> float:

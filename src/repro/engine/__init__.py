@@ -20,9 +20,9 @@ Three subsystems run on it:
   test data's shards whose fairness/accuracy/confidentiality/
   transparency sections execute concurrently and re-audit
   incrementally with no hand-written keys;
-* :class:`repro.serve.QueryPlanner` represents every served query as a
-  one-node plan whose ``key_parts`` reproduce the historical answer
-  digests exactly.
+* :class:`repro.serve.QueryPlanner` fingerprints every served query as
+  an identity :class:`Node` whose ``key_parts`` reproduce the historical
+  answer digests exactly (the server runs the release kernels directly).
 
 Determinism contract: a plan's results are bit-identical for every
 ``n_jobs``, every backend, and with or without a store, because each

@@ -77,17 +77,23 @@ N_QUANTILE_CANDIDATES = 100
 # for the whole group instead of once per query.
 
 def group_stats(plan: "QueryPlan", table) -> dict:
-    """The shared (noise-free) statistics behind every member's release."""
+    """The shared (noise-free) statistics behind every member's release.
+
+    Scan-free: quantile ranks come from one sort and a ``searchsorted``
+    of the whole candidate grid, histogram counts from a ``bincount``
+    of the table's cached factorization codes.  The counts are the same
+    integers the per-candidate ``np.sum(clipped <= c)`` and per-bin
+    ``np.sum(values == b)`` scans of the ``dp_*`` functions give.
+    """
     kind = plan.kind
     if kind == "count":
         return {"n": table.n_rows}
-    values = np.asarray(table.column(plan.column), dtype=np.float64) \
-        if kind != "histogram" else np.asarray(table.column(plan.column))
     if kind == "histogram":
         # Parallel composition: one record lands in one bin, so counts
         # are shared and each member pays a single ε for the whole
         # histogram (bins arrive sorted and deduplicated by the planner).
-        return {"counts": {b: float(np.sum(values == b)) for b in plan.bins}}
+        return {"counts": _bin_counts(table, plan.column, plan.bins)}
+    values = np.asarray(table.column(plan.column), dtype=np.float64)
     if kind == "mean" and len(values) == 0:
         raise DataError("cannot take the mean of no values")
     clipped = np.clip(values, plan.lower, plan.upper)
@@ -99,16 +105,40 @@ def group_stats(plan: "QueryPlan", table) -> dict:
                 "sensitivity": max(abs(plan.lower), abs(plan.upper)),
                 "n": len(values)}
     if kind == "quantile":
-        candidates = np.linspace(
-            plan.lower, plan.upper, N_QUANTILE_CANDIDATES
-        ).tolist()
-        target_rank = plan.q * len(clipped)
-        utilities = [
-            -abs(float(np.sum(clipped <= candidate)) - target_rank)
-            for candidate in candidates
-        ]
-        return {"candidates": candidates, "utilities": utilities}
+        candidates = np.linspace(plan.lower, plan.upper,
+                                 N_QUANTILE_CANDIDATES)
+        # NaNs sort last, so ``side="right"`` counts exactly the values
+        # ``<=`` each candidate; a NaN candidate (infinite bounds) is
+        # ``<=``-comparable to nothing.
+        ranks = np.searchsorted(np.sort(clipped), candidates, side="right")
+        ranks[np.isnan(candidates)] = 0
+        utilities = -np.abs(ranks - plan.q * len(clipped))
+        return {"candidates": candidates.tolist(),
+                "utilities": utilities.tolist()}
     raise DataError(f"unplannable kind {kind!r}")  # unreachable
+
+
+def _bin_counts(table, column: str, bins: tuple) -> dict:
+    """``{bin: float(number of rows equal to bin)}`` from cached codes.
+
+    Missing keys (NaN / ``""``) carry code ``-1``, so they are counted
+    apart: they are the rows of a ``""`` bin on a categorical column,
+    and a NaN bin equals no row.
+    """
+    uniques, codes, _, n_missing = table._factorized(column)
+    counts = np.bincount(codes + 1, minlength=len(uniques) + 1)[1:]
+    keys = np.asarray(bins)
+    slots = np.searchsorted(uniques, keys)
+    inside = slots < len(uniques)
+    hits = np.zeros(len(keys), dtype=bool)
+    hits[inside] = uniques[slots[inside]] == keys[inside]
+    result = {
+        bin_value: float(counts[slot]) if hit else 0.0
+        for bin_value, slot, hit in zip(bins, slots.tolist(), hits.tolist())
+    }
+    if "" in result:
+        result[""] = float(n_missing)
+    return result
 
 
 def member_release(stats: dict, plan: "QueryPlan",

@@ -21,7 +21,9 @@ accountant, and pending list, so two tenants reserving concurrently
 never serialise on each other.  A short registry lock guards only
 registration and the tenant listing — the reserve/commit hot path takes
 exactly one per-tenant lock and the registry is read lock-free (one
-atomic dict lookup).
+atomic dict lookup).  The accountants keep their ledger totals running,
+so a reserve or commit never walks the ledger: its cost is independent
+of how many queries the tenant has already paid for.
 """
 
 from __future__ import annotations
@@ -121,20 +123,13 @@ class BudgetManager:
             return (shard.accountant.remaining()
                     - sum(r.epsilon for r in shard.pending))
 
-    @staticmethod
-    def _can_reserve_locked(shard: _TenantShard, epsilon: float,
-                            delta: float) -> bool:
-        return shard.accountant.can_spend(
-            sum(r.epsilon for r in shard.pending) + epsilon,
-            sum(r.delta for r in shard.pending) + delta,
-        )
-
     def can_reserve(self, tenant: str, epsilon: float,
                     delta: float = 0.0) -> bool:
         """Would :meth:`reserve` succeed right now?"""
         shard = self._shard(tenant)
         with shard.lock:
-            return self._can_reserve_locked(shard, epsilon, delta)
+            return shard.accountant.can_spend_after(shard.pending, epsilon,
+                                                    delta)
 
     def reserve(self, tenant: str, epsilon: float,
                 delta: float = 0.0) -> Reservation:
@@ -145,7 +140,8 @@ class BudgetManager:
             raise DataError(f"delta must be non-negative, got {delta}")
         shard = self._shard(tenant)
         with shard.lock:
-            if not self._can_reserve_locked(shard, epsilon, delta):
+            if not shard.accountant.can_spend_after(shard.pending, epsilon,
+                                                    delta):
                 raise PrivacyBudgetError(
                     f"tenant {tenant!r} cannot afford ε={epsilon:.4g}: "
                     f"ε_remaining={shard.accountant.remaining():.4g} with "

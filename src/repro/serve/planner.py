@@ -13,10 +13,10 @@ the registered table's version is folded in (re-registering a table
 invalidates every cached answer computed from the old rows — replaying
 those would be answering about data that no longer exists).
 
-A served query *is* a one-node dataflow plan: the planner represents it
-as a :class:`repro.engine.Node` whose ``key_parts`` are the canonical
-query identity, and the plan's fingerprint is exactly that node's cache
-key.  The hashing bottoms out in
+A plan's fingerprint is the cache key of an identity
+:class:`repro.engine.Node` whose ``key_parts`` are the canonical query
+identity (the node is never run: the server calls the release kernels
+directly).  The hashing bottoms out in
 :func:`repro.store.fingerprint.fingerprint` — the planner's historical
 private ``_fingerprint``, promoted to the system-wide canonicalisation
 shared with the artifact store.  The digests are unchanged through both
@@ -29,11 +29,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.data.schema import ColumnType
 from repro.data.table import Table
-from repro.engine import Node, Plan
+from repro.engine import Node
 from repro.exceptions import DataError
 from repro.serve.protocol import KINDS, QueryRequest
 from repro.store.fingerprint import fingerprint
@@ -58,16 +57,6 @@ class QueryPlan:
     bins: tuple
     fingerprint: str
 
-    def key_parts(self) -> dict:
-        """The canonical identity of this release, as engine key parts."""
-        return {
-            "table": self.table, "version": self.table_version,
-            "kind": self.kind, "column": self.column,
-            "epsilon": self.epsilon, "delta": self.delta,
-            "lower": self.lower, "upper": self.upper, "q": self.q,
-            "bins": self.bins,
-        }
-
     @property
     def group_key(self) -> tuple:
         """The batching compatibility key: queries that may coalesce.
@@ -82,31 +71,6 @@ class QueryPlan:
         """
         return (self.table, self.table_version, self.kind, self.column,
                 self.lower, self.upper, self.q, self.bins)
-
-    def as_node(self, execute: Callable | None = None) -> Node:
-        """This query as an engine node.
-
-        Without ``execute`` the node is representation-only — it can be
-        fingerprinted and wired but not run (what the planner needs).
-        With ``execute`` (a ``plan -> value`` callable, e.g. the
-        server's noisy-execution dispatch) the node computes the
-        release.  Uncacheable by design: each execution must draw fresh
-        noise — *answer* replay is the :class:`AnswerCache`'s job,
-        governed by budget semantics, not the artifact store's.
-        """
-        fn = None
-        if execute is not None:
-            fn = lambda inputs, rng: execute(self)  # noqa: E731
-        return Node(
-            f"query:{self.kind}", fn,
-            key_parts=self.key_parts(),
-            cacheable=False,
-            label=f"query:{self.kind}",
-        )
-
-    def as_engine_plan(self, execute: Callable) -> Plan:
-        """The query as a runnable one-node :class:`repro.engine.Plan`."""
-        return Plan([self.as_node(execute)])
 
 
 class QueryPlanner:

@@ -25,8 +25,8 @@ Architecture: submissions land on an asyncio dispatch loop
 (:class:`~repro.serve.batching.Dispatcher`, one daemon thread) that
 admits, plans, answers cache hits inline, and coalesces cache misses by
 :attr:`~repro.serve.planner.QueryPlan.group_key`; flushed groups
-execute on a bounded ``ThreadPoolExecutor`` as one-node engine plans
-whose data-plane statistics are computed once per group
+execute on a bounded ``ThreadPoolExecutor``, calling the release
+kernels directly: a group's data-plane statistics are computed once
 (:func:`~repro.serve.batching.group_stats`) while each member draws its
 own noise (:func:`~repro.serve.batching.member_release`, replicating
 the audited ``dp_*`` semantics draw for draw).  Backpressure is
@@ -57,8 +57,6 @@ from repro import obs
 from repro.obs.metrics import Histogram
 from repro.confidentiality.accountant import PrivacyAccountant
 from repro.data.table import Table
-from repro.engine import Executor as PlanExecutor
-from repro.engine import Node, Plan
 from repro.exceptions import DataError
 from repro.serve.admission import AdmissionController
 from repro.serve.batching import Dispatcher, _Member, group_stats, member_release
@@ -161,12 +159,6 @@ class QueryServer:
         self._pool = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-serve"
         )
-        # Release groups run as one-node engine plans; observe=False
-        # because the server records its own serve.query spans
-        # (concurrent, post-timed), and node-level spans would
-        # double-count.
-        self._engine = PlanExecutor(n_jobs=1, backend="serial",
-                                    name="serve", observe=False)
         self._closed = False
         # Deterministic releases: each execution's generator is keyed by
         # (server seed, per-fingerprint release ordinal, fingerprint
@@ -342,34 +334,25 @@ class QueryServer:
     # -- execution ----------------------------------------------------------
 
     def _execute_batch(self, plans: list[QueryPlan]) -> list:
-        """Run one coalesced release group as a one-node engine plan.
+        """Run one coalesced release group through the release kernels.
 
         Every plan in the group shares a
         :attr:`~repro.serve.planner.QueryPlan.group_key`, so the
-        data-plane statistics are computed once; each member then draws
-        its own noise from its own deterministic stream.  The node's
-        ``key_parts`` are the group's canonical identity and the node is
-        uncacheable — every execution must draw fresh noise (*answer*
+        data-plane statistics are computed once
+        (:func:`~repro.serve.batching.group_stats`); each member then
+        draws its own noise from its own deterministic stream
+        (:func:`~repro.serve.batching.member_release`).  Nothing here is
+        memoized — every execution must draw fresh noise (*answer*
         replay is the :class:`AnswerCache`'s job, governed by budget
         semantics).
         """
-        template = plans[0]
         rngs = [self._release_rng(plan.fingerprint) for plan in plans]
-
-        def compute(inputs, rng):
-            if self.config.backend_latency_s:
-                time.sleep(self.config.backend_latency_s)
-            table = self.planner.table(template.table)
-            stats = group_stats(template, table)
-            return [member_release(stats, plan, member_rng)
-                    for plan, member_rng in zip(plans, rngs)]
-
-        node = Node(
-            f"query:{template.kind}", compute,
-            key_parts=template.key_parts(), cacheable=False,
-            label=f"query:{template.kind}[{len(plans)}]",
-        )
-        return self._engine.run(Plan([node])).output
+        if self.config.backend_latency_s:
+            time.sleep(self.config.backend_latency_s)
+        template = plans[0]
+        stats = group_stats(template, self.planner.table(template.table))
+        return [member_release(stats, plan, rng)
+                for plan, rng in zip(plans, rngs)]
 
     def _release_rng(self, fingerprint: str) -> np.random.Generator:
         """The deterministic noise stream for one release execution.
