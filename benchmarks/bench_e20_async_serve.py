@@ -76,7 +76,7 @@ def _ledgers(server: QueryServer) -> dict:
 
 
 def _serve(table, requests, *, window_ms: float, workers: int,
-           mean_burst: int, cache: bool = True, replay: bool = True):
+           mean_burst: int, cache: bool = True):
     # Open-loop submission: size the bounded queue to the workload so
     # the throughput number is about serving, not shedding.
     config = ServeConfig(workers=workers, seed=SEED,
@@ -87,11 +87,9 @@ def _serve(table, requests, *, window_ms: float, workers: int,
         server.register_table(TABLE_NAME, table)
         report = run_load(server, requests, mean_burst=mean_burst,
                           seed=SEED)
-        values = ledgers = None
-        if replay:
-            values = [result.value for result in
-                      server.submit_batch(requests[: len(requests) // 4])]
-            ledgers = _ledgers(server)
+        values = [result.value for result in
+                  server.submit_batch(requests[: len(requests) // 4])]
+        ledgers = _ledgers(server)
     return report, values, ledgers
 
 
@@ -159,7 +157,7 @@ def main(argv=None) -> int:
 
     # -- the release path alone: cache off, every query a DP release ------
     release, _, _ = _serve(table, requests, window_ms=2.0, workers=2,
-                           mean_burst=mean_burst, cache=False, replay=False)
+                           mean_burst=mean_burst, cache=False)
     if release.statuses.get("ok") != release.queries:
         failures.append(
             f"RELEASE LOAD FAILURES: statuses {release.statuses}")

@@ -44,7 +44,7 @@ from repro.data.schema import (
     Schema,
     numeric,
 )
-from repro.data.table import Table
+from repro.data.table import Table, _map_into
 from repro.exceptions import DataError, SchemaError
 from repro.relational.propagation import propagate_key_role
 
@@ -104,22 +104,6 @@ def _table_codes(table: Table, names: list[str]) -> np.ndarray:
         parts.append(codes)
         sizes.append(len(uniques))
     return _composite_codes(parts, sizes)
-
-
-def _map_into(left_uniques: np.ndarray,
-              right_uniques: np.ndarray) -> np.ndarray:
-    """Map positions in ``left_uniques`` to positions in ``right_uniques``.
-
-    Values absent from the right side map to ``-1`` — they can never
-    match, which is exactly the missing-key semantics downstream.
-    """
-    if not len(left_uniques) or not len(right_uniques):
-        return np.full(len(left_uniques), -1, dtype=np.int64)
-    position = np.searchsorted(right_uniques, left_uniques)
-    clipped = np.minimum(position, len(right_uniques) - 1)
-    return np.where(
-        right_uniques[clipped] == left_uniques, clipped, -1
-    ).astype(np.int64)
 
 
 def _join_codes(left: Table, right: Table, on: list[str],

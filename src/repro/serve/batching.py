@@ -80,10 +80,11 @@ def group_stats(plan: "QueryPlan", table) -> dict:
     """The shared (noise-free) statistics behind every member's release.
 
     Scan-free: quantile ranks come from one sort and a ``searchsorted``
-    of the whole candidate grid, histogram counts from a ``bincount``
-    of the table's cached factorization codes.  The counts are the same
-    integers the per-candidate ``np.sum(clipped <= c)`` and per-bin
-    ``np.sum(values == b)`` scans of the ``dp_*`` functions give.
+    of the whole candidate grid, histogram counts from the table's
+    cached factorization (:meth:`~repro.data.table.Table.count_values`).
+    The counts are the same integers the per-candidate
+    ``np.sum(clipped <= c)`` and per-bin ``np.sum(values == b)`` scans
+    of the ``dp_*`` functions give.
     """
     kind = plan.kind
     if kind == "count":
@@ -92,7 +93,9 @@ def group_stats(plan: "QueryPlan", table) -> dict:
         # Parallel composition: one record lands in one bin, so counts
         # are shared and each member pays a single ε for the whole
         # histogram (bins arrive sorted and deduplicated by the planner).
-        return {"counts": _bin_counts(table, plan.column, plan.bins)}
+        counts = table.count_values(plan.column, plan.bins)
+        return {"counts": {bin_value: float(count) for bin_value, count
+                           in zip(plan.bins, counts)}}
     values = np.asarray(table.column(plan.column), dtype=np.float64)
     if kind == "mean" and len(values) == 0:
         raise DataError("cannot take the mean of no values")
@@ -116,29 +119,6 @@ def group_stats(plan: "QueryPlan", table) -> dict:
         return {"candidates": candidates.tolist(),
                 "utilities": utilities.tolist()}
     raise DataError(f"unplannable kind {kind!r}")  # unreachable
-
-
-def _bin_counts(table, column: str, bins: tuple) -> dict:
-    """``{bin: float(number of rows equal to bin)}`` from cached codes.
-
-    Missing keys (NaN / ``""``) carry code ``-1``, so they are counted
-    apart: they are the rows of a ``""`` bin on a categorical column,
-    and a NaN bin equals no row.
-    """
-    uniques, codes, _, n_missing = table._factorized(column)
-    counts = np.bincount(codes + 1, minlength=len(uniques) + 1)[1:]
-    keys = np.asarray(bins)
-    slots = np.searchsorted(uniques, keys)
-    inside = slots < len(uniques)
-    hits = np.zeros(len(keys), dtype=bool)
-    hits[inside] = uniques[slots[inside]] == keys[inside]
-    result = {
-        bin_value: float(counts[slot]) if hit else 0.0
-        for bin_value, slot, hit in zip(bins, slots.tolist(), hits.tolist())
-    }
-    if "" in result:
-        result[""] = float(n_missing)
-    return result
 
 
 def member_release(stats: dict, plan: "QueryPlan",

@@ -228,6 +228,11 @@ class QueryPlanner:
                 bins = tuple(sorted({coerce(value) for value in request.bins}))
             except (TypeError, ValueError) as error:
                 raise DataError(f"bad histogram bins: {error}") from None
+            # numpy strings drop trailing NULs, so "a" and "a\x00" would
+            # count the same rows: two noisy copies of one count for one ε.
+            if coerce is str and any("\x00" in value for value in bins):
+                raise DataError("histogram bins may not contain NUL "
+                                "characters")
 
         version = self._versions[table_name]
         # The digest is the query node's engine cache key: the planner

@@ -12,6 +12,7 @@
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.data.table import Table
 from repro.exceptions import PrivacyBudgetError
 from repro.serve import (
     STATUS_OK,
+    STATUS_REJECTED_INVALID,
     BudgetManager,
     QueryPlanner,
     QueryRequest,
@@ -136,6 +138,48 @@ def test_histogram_on_column_without_missing_rows():
         plan = _plan(planner, kind="histogram", column=column, bins=bins)
         assert exact(group_stats(plan, table)) == exact(
             reference_histogram(table.column(column), plan.bins))
+
+
+def test_bins_with_nul_characters_are_refused():
+    # numpy strings drop trailing NULs, so the scan counts "a" rows for
+    # "a\x00" too: admitting both bins would release two noisy copies of
+    # one count under a single ε charge.
+    table = Table(Schema([categorical("c")]), {"c": ["a", "a", "b", ""]})
+    assert reference_histogram(table.column("c"), ("a\x00",)) == {
+        "counts": {"a\x00": 2.0}}
+    with QueryServer(ServeConfig(workers=1, seed=7)) as server:
+        server.register_table("t", table)
+        accountant = server.register_tenant("a", epsilon_budget=1.0)
+        for bins in (("a", "a\x00"), ("\x00",), ("b", "x\x00y")):
+            result = server.query(QueryRequest(
+                tenant="a", kind="histogram", column="c", bins=bins,
+                epsilon=0.1))
+            assert result.status == STATUS_REJECTED_INVALID
+            assert result.epsilon_charged == 0.0
+        assert accountant.ledger == []
+    # Looked up directly, such a key matches no row.
+    assert table.count_values("c", ["a", "a\x00", "\x00", ""]) == [
+        2, 0, 0, 1]
+
+
+def test_long_bin_does_not_widen_the_lookup():
+    table = Table(Schema([categorical("c")]), {"c": ["ab", "cd", "ab"]})
+    planner = QueryPlanner()
+    planner.register_table("t", table)
+    long_bin = "ab" + "z" * 20_000
+    bins = (long_bin, *(f"k{i}" for i in range(1000)), "ab")
+    plan = _plan(planner, kind="histogram", column="c", bins=bins)
+    tracemalloc.start()
+    try:
+        stats = group_stats(plan, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A 1001 x 20002-character ``<U`` key array would be ~80 MB.
+    assert peak < 2_000_000
+    assert exact(stats) == exact(reference_histogram(table.column("c"),
+                                                     plan.bins))
+    assert stats["counts"]["ab"] == 2.0 and stats["counts"][long_bin] == 0.0
 
 
 # -- running ledger totals == builtin sum ----------------------------------
