@@ -109,7 +109,8 @@ def _rss_probe(mode: str, smoke: bool) -> int:
     materialises them into one table first (the whole dataset plus the
     audit's working set lives in this process), ``sharded`` audits the
     ``PartitionedTable`` with an on-disk spill store (the coordinator
-    holds roughly one shard plus the combined partials).
+    decodes each spilled partial once and shares it between the
+    section combines until the run ends).
     """
     n_train, rows_per_shard, n_bootstrap = _sizes(smoke)
     model = _fit_model(n_train)

@@ -98,34 +98,50 @@ class SplitConformalClassifier:
         )
         return self
 
-    def predict_sets(self, X) -> list[PredictionSet]:
-        """Prediction sets with ≥ 1-alpha marginal coverage."""
+    def _membership(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row masks: does the prediction set hold label 0, label 1?
+
+        Vectorised over rows, with the same float expressions the sets
+        are defined by, so every mask bit matches the set it describes.
+        """
         if self._quantile is None:
             raise NotFittedError("calibrate() must run before predict_sets()")
         probabilities = self.model.predict_proba(X)
-        sets = []
-        for p in probabilities:
-            labels = []
-            if 1.0 - (1.0 - p) <= self._quantile + 1e-12:  # score of label 0
-                labels.append(0.0)
-            if 1.0 - p <= self._quantile + 1e-12:          # score of label 1
-                labels.append(1.0)
-            if not labels:  # numerical corner: keep validity with full set
-                labels = [0.0, 1.0]
-            sets.append(PredictionSet(tuple(labels)))
-        return sets
+        cutoff = self._quantile + 1e-12
+        has_zero = 1.0 - (1.0 - probabilities) <= cutoff  # score of label 0
+        has_one = 1.0 - probabilities <= cutoff            # score of label 1
+        # Numerical corner: an empty set keeps validity as the full set.
+        empty = ~(has_zero | has_one)
+        return has_zero | empty, has_one | empty
+
+    def predict_sets(self, X) -> list[PredictionSet]:
+        """Prediction sets with ≥ 1-alpha marginal coverage."""
+        has_zero, has_one = self._membership(X)
+        return [
+            PredictionSet((0.0,) * zero + (1.0,) * one)
+            for zero, one in zip(has_zero.tolist(), has_one.tolist())
+        ]
+
+    def covered(self, X, y_true) -> np.ndarray:
+        """Per-row mask: does the prediction set contain the truth?"""
+        y_true = np.asarray(y_true, dtype=np.float64)
+        has_zero, has_one = self._membership(X)
+        if y_true.shape != has_zero.shape:
+            raise DataError(
+                f"y_true {y_true.shape} must align with X's "
+                f"{has_zero.shape[0]} rows"
+            )
+        return (has_zero & (y_true == 0.0)) | (has_one & (y_true == 1.0))
 
     def coverage(self, X, y_true) -> float:
         """Empirical fraction of prediction sets containing the truth."""
-        y_true = np.asarray(y_true, dtype=np.float64)
-        sets = self.predict_sets(X)
-        return float(np.mean([
-            s.covers(label) for s, label in zip(sets, y_true)
-        ]))
+        return float(np.mean(self.covered(X, y_true)))
 
     def mean_set_size(self, X) -> float:
         """Average set cardinality (1.0 = maximally informative)."""
-        return float(np.mean([s.size for s in self.predict_sets(X)]))
+        has_zero, has_one = self._membership(X)
+        return float(np.mean(has_zero.astype(np.int64)
+                             + has_one.astype(np.int64)))
 
 
 class GroupConditionalConformalClassifier:

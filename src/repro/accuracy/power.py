@@ -49,36 +49,49 @@ def required_audit_size(baseline_rate: float, detectable_gap: float,
         raise DataError("detectable_gap must be positive and feasible")
     if not 0.0 < alpha < 1.0 or not 0.0 < power < 1.0:
         raise DataError("alpha and power must be in (0, 1)")
-    p1 = baseline_rate
-    p2 = baseline_rate - detectable_gap
-    pooled = 0.5 * (p1 + p2)
-    z_alpha = stats.norm.ppf(1.0 - alpha / 2.0)
-    z_beta = stats.norm.ppf(power)
-    numerator = (
-        z_alpha * np.sqrt(2.0 * pooled * (1.0 - pooled))
-        + z_beta * np.sqrt(p1 * (1.0 - p1) + p2 * (1.0 - p2))
-    ) ** 2
-    n = int(np.ceil(numerator / detectable_gap**2))
+    n = _required_n(baseline_rate, detectable_gap, *_z_scores(alpha, power))
     return AuditPower(
         baseline_rate=baseline_rate, detectable_gap=detectable_gap,
         alpha=alpha, power=power, n_per_group=n,
     )
 
 
+def _z_scores(alpha: float, power: float) -> tuple[float, float]:
+    """The two normal quantiles a design at (alpha, power) needs."""
+    return stats.norm.ppf(1.0 - alpha / 2.0), stats.norm.ppf(power)
+
+
+def _required_n(baseline_rate: float, detectable_gap: float,
+                z_alpha: float, z_beta: float) -> int:
+    """:func:`required_audit_size`'s per-group n, quantiles given."""
+    p1 = baseline_rate
+    p2 = baseline_rate - detectable_gap
+    pooled = 0.5 * (p1 + p2)
+    numerator = (
+        z_alpha * np.sqrt(2.0 * pooled * (1.0 - pooled))
+        + z_beta * np.sqrt(p1 * (1.0 - p1) + p2 * (1.0 - p2))
+    ) ** 2
+    return int(np.ceil(numerator / detectable_gap**2))
+
+
 def minimum_detectable_gap(n_per_group: int, baseline_rate: float,
                            alpha: float = 0.05, power: float = 0.8) -> float:
     """Smallest selection-rate gap an audit of this size can detect.
 
-    Solved by bisection on :func:`required_audit_size`.
+    Solved by bisection on :func:`required_audit_size`'s formula; the
+    normal quantiles are fixed by (alpha, power), so they are computed
+    once, not at every step.
     """
     if n_per_group < 2:
         raise DataError("n_per_group must be >= 2")
     low, high = 1e-4, baseline_rate - 1e-4
+    # Validates the design (and answers for the largest feasible gap).
     if required_audit_size(baseline_rate, high, alpha, power).n_per_group > n_per_group:
         return float("nan")  # even the largest feasible gap is undetectable
+    z_alpha, z_beta = _z_scores(alpha, power)
     for _ in range(60):
         mid = 0.5 * (low + high)
-        needed = required_audit_size(baseline_rate, mid, alpha, power).n_per_group
+        needed = _required_n(baseline_rate, mid, z_alpha, z_beta)
         if needed <= n_per_group:
             high = mid
         else:

@@ -157,6 +157,16 @@ class PrivacyAccountant:
                               sum(charge.delta for charge in pending)
                               + delta)
 
+    def remaining_after(self, pending) -> float:
+        """Unspent ε once every charge in ``pending`` has landed.
+
+        ``pending`` is as for :meth:`can_spend_after`; under basic
+        composition the pending ε simply subtract.
+        """
+        with self._lock:
+            return self.remaining() - sum(charge.epsilon
+                                          for charge in pending)
+
     def spend(self, epsilon: float, delta: float = 0.0,
               label: str = "query") -> LedgerEntry:
         """Charge the budget or raise :class:`PrivacyBudgetError`."""
@@ -296,6 +306,17 @@ class AdvancedAccountant(PrivacyAccountant):
             return False
         with self._lock:
             return self._affords(len(self._ledger) + len(pending) + 1)
+
+    def remaining_after(self, pending) -> float:
+        """Unspent ε once the ``pending`` queries have landed: the
+        budget minus the composed total of ``len(ledger) +
+        len(pending)`` queries, not minus the pending ε summed."""
+        with self._lock:
+            n_queries = len(self._ledger) + len(pending)
+            spent = float(advanced_composition_epsilon(
+                self.per_query_epsilon, n_queries, self.delta_slack
+            )) if n_queries else 0.0
+            return self.epsilon_budget - spent
 
     @property
     def delta_spent(self) -> float:

@@ -11,12 +11,17 @@ irreversible without the key.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import secrets
 
 from repro.data.schema import ColumnRole, categorical
 from repro.data.table import Table
 from repro.exceptions import DataError
+
+
+#: SHA-256's block size and the RFC 2104 pads, as byte translations.
+_BLOCK = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
 class Pseudonymizer:
@@ -40,15 +45,39 @@ class Pseudonymizer:
 
     def pseudonym(self, value: object) -> str:
         """The stable token for one identifier value."""
-        digest = hmac.new(
-            self._key, str(value).encode("utf-8"), hashlib.sha256
-        ).hexdigest()
-        return f"p_{digest[:self.token_length]}"
+        return self._tokenizer()(value)
+
+    def _tokenizer(self):
+        """A token function over precomputed HMAC-SHA256 key states.
+
+        HMAC (RFC 2104) is ``H((K ^ opad) || H((K ^ ipad) || m))`` with
+        the key zero-padded to the 64-byte block (hashed first if
+        longer).  The two keyed prefixes are absorbed once here, so a
+        column costs two ``copy()``-and-finish steps per value instead
+        of a fresh ``hmac.new``; tokens equal ``hmac.new``'s digests.
+        """
+        key = bytes(memoryview(self._key))
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\x00")
+        inner = hashlib.sha256(key.translate(_IPAD))
+        outer = hashlib.sha256(key.translate(_OPAD))
+        length = self.token_length
+
+        def token(value: object) -> str:
+            digest = inner.copy()
+            digest.update(str(value).encode("utf-8"))
+            mac = outer.copy()
+            mac.update(digest.digest())
+            return f"p_{mac.hexdigest()[:length]}"
+
+        return token
 
     def pseudonymize_column(self, table: Table, name: str) -> Table:
         """Replace one column's values with pseudonyms (keeps the role)."""
         spec = table.schema[name]
-        tokens = [self.pseudonym(value) for value in table.column(name)]
+        token = self._tokenizer()
+        tokens = [token(value) for value in table.column(name)]
         return table.with_column(
             categorical(name, role=spec.role,
                         description=f"pseudonymized {spec.description or name}"),

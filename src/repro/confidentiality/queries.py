@@ -89,6 +89,10 @@ def dp_histogram(values, bins: list, epsilon: float,
     epsilon = _check_epsilon(epsilon)
     if not bins:
         raise DataError("bins must be non-empty")
+    # numpy strings drop trailing NULs, so "a" and "a\x00" would count
+    # the same rows: two noisy copies of one count for one ε.
+    if any(isinstance(value, str) and "\x00" in value for value in bins):
+        raise DataError("histogram bins may not contain NUL characters")
     accountant.spend(epsilon, label=label)
     values = np.asarray(values)
     result: dict[object, float] = {}

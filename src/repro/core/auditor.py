@@ -37,6 +37,7 @@ from repro.data.table import Table
 from repro.engine import Executor, Plan, value_fingerprint
 from repro.engine.sharding import combine_node, shard_map_nodes
 from repro.exceptions import DataError, FairnessError
+from repro.fairness.metrics import factorize_groups
 from repro.fairness.report import audit_decisions
 from repro.learn.calibration import expected_calibration_error
 from repro.learn.metrics import accuracy as accuracy_metric
@@ -443,8 +444,7 @@ class FACTAuditor:
         """
         from repro.accuracy.power import minimum_detectable_gap
 
-        sizes = [int((group == value).sum()) for value in fairness.groups]
-        smallest = min(sizes)
+        smallest = int(factorize_groups(group).sizes().min())
         baseline = max(fairness.selection_rates.values())
         if not 0.0 < baseline < 1.0 or smallest < 2:
             return None
@@ -494,21 +494,17 @@ class FACTAuditor:
             conformal.calibrate(X_cal, model.labels(calibration),
                                 store=store)
             X_test = x_test()
-            coverage = conformal.coverage(X_test, labels)
+            covered = conformal.covered(X_test, labels)
+            coverage = float(np.mean(covered))
             set_size = conformal.mean_set_size(X_test)
             # The E4b check: does the (marginal) guarantee hold within
             # each protected group, or only on average?
             if sensitive_names:
-                values = group(sensitive_names[0])
-                sets = conformal.predict_sets(X_test)
-                covered = np.asarray([
-                    prediction_set.covers(label)
-                    for prediction_set, label in zip(sets, labels)
-                ])
+                groups = factorize_groups(group(sensitive_names[0]))
                 by_group = {
-                    value: float(covered[values == value].mean())
-                    for value in np.unique(values)
-                    if (values == value).sum() >= 10
+                    value: float(covered[mask].mean())
+                    for value, mask in groups.masks()
+                    if mask.sum() >= 10
                 }
         return AccuracySection(
             accuracy=acc_ci,

@@ -213,52 +213,59 @@ class Executor:
 
         runs: list[NodeRun] = []
         artifact_ids = self._register_inputs(provenance, plan, inputs)
-        index = 0
-        levels = plan.fused_levels() if self.fuse else plan.levels()
-        for level_index, level in enumerate(levels):
-            outcomes = self._run_level(
-                level, results, fp_of, seeds, rng, store, telemetry,
-                parent_id, collector,
-            )
-            # Commit, observe, and record in plan order on the
-            # coordinator — completion order never reaches the results,
-            # the provenance graph, or the clock.
-            level_mark = (telemetry.clock.now()
-                          if telemetry is not None and len(level) > 1
-                          else None)
-            for unit, (value, status) in zip(level, outcomes):
-                if isinstance(unit, FusedChain):
-                    # One fused artifact, but every member keeps its
-                    # own result, run record, provenance step, and
-                    # observer call.
-                    member_runs = []
-                    for node, member_value in zip(unit.members, value):
-                        results[node.name] = member_value
-                        run = NodeRun(node=node, value=member_value,
-                                      status=status, index=index,
-                                      level=level_index)
-                        runs.append(run)
-                        member_runs.append(run)
-                        self._record_provenance(provenance, artifact_ids,
-                                                run)
-                        if observer is not None:
-                            observer(run)
-                        index += 1
-                    self._record_chain_span(telemetry, parent_id, unit,
-                                            member_runs, results,
-                                            level_mark, collector)
-                    continue
-                node = unit
-                results[node.name] = value
-                run = NodeRun(node=node, value=value, status=status,
-                              index=index, level=level_index)
-                runs.append(run)
-                self._record_span(telemetry, parent_id, run, results,
-                                  level_mark, collector)
-                self._record_provenance(provenance, artifact_ids, run)
-                if observer is not None:
-                    observer(run)
-                index += 1
+        try:
+            index = 0
+            levels = plan.fused_levels() if self.fuse else plan.levels()
+            for level_index, level in enumerate(levels):
+                outcomes = self._run_level(
+                    level, results, fp_of, seeds, rng, store, telemetry,
+                    parent_id, collector,
+                )
+                # Commit, observe, and record in plan order on the
+                # coordinator — completion order never reaches the results,
+                # the provenance graph, or the clock.
+                level_mark = (telemetry.clock.now()
+                              if telemetry is not None and len(level) > 1
+                              else None)
+                for unit, (value, status) in zip(level, outcomes):
+                    if isinstance(unit, FusedChain):
+                        # One fused artifact, but every member keeps its
+                        # own result, run record, provenance step, and
+                        # observer call.
+                        member_runs = []
+                        for node, member_value in zip(unit.members, value):
+                            results[node.name] = member_value
+                            run = NodeRun(node=node, value=member_value,
+                                          status=status, index=index,
+                                          level=level_index)
+                            runs.append(run)
+                            member_runs.append(run)
+                            self._record_provenance(provenance, artifact_ids,
+                                                    run)
+                            if observer is not None:
+                                observer(run)
+                            index += 1
+                        self._record_chain_span(telemetry, parent_id, unit,
+                                                member_runs, results,
+                                                level_mark, collector)
+                        continue
+                    node = unit
+                    results[node.name] = value
+                    run = NodeRun(node=node, value=value, status=status,
+                                  index=index, level=level_index)
+                    runs.append(run)
+                    self._record_span(telemetry, parent_id, run, results,
+                                      level_mark, collector)
+                    self._record_provenance(provenance, artifact_ids, run)
+                    if observer is not None:
+                        observer(run)
+                    index += 1
+        finally:
+            # Spilled partials resolve once per run (each handle keeps
+            # what it decoded); the decoded values must not outlive it.
+            for value in results.values():
+                if isinstance(value, Spilled):
+                    value.release()
         return PlanResult(plan, results, tuple(runs))
 
     # -- internals ----------------------------------------------------------

@@ -15,15 +15,16 @@ builds one :class:`~repro.engine.Node` per shard, each of which
   incremental sharded re-audit;
 * optionally **spills**: the partial is committed to the store tagged
   ``shard:<fp>`` and a :class:`~repro.store.Spilled` reference travels
-  the plan instead of the value, bounding coordinator memory by one
-  shard plus the combined partials;
+  the plan instead of the value, so the partial is decoded only when a
+  combine needs it (once per run) and never on a warm replay;
 * optionally draws from a **per-shard spawned SeedSequence** (``seed=``
   spawns one child per shard, baked into the task and folded into the
   key).
 
 ``combine_node`` declares the merge step: it receives the partials as a
-:class:`ShardPartials` sequence that resolves spilled references one at
-a time, **in shard order** — so a combine that concatenates or folds
+:class:`ShardPartials` sequence that resolves spilled references lazily
+(each decoded once per run, shared by every combine), **in shard
+order** — so a combine that concatenates or folds
 sequentially is deterministic by construction, and byte-identical to
 the unsharded computation whenever the per-shard function is row-wise
 pure and the merged statistics are exact (counts, contingencies,
@@ -62,10 +63,13 @@ def _run_shard_task(map_fn, source, seed):
 class ShardPartials(Sequence):
     """The per-shard partials, resolved lazily in shard order.
 
-    Spilled references are fetched from the store one at a time as the
-    combine iterates — the coordinator holds the partial it is folding,
-    not all of them — while raw (storeless) partials pass straight
-    through.  Indexing re-fetches; iterate once and fold.
+    Spilled references are resolved as the combine reaches them, each
+    at most once per :meth:`~repro.engine.Executor.run`: the first
+    consumer of a handle reads and decodes it, every later one — another
+    pass of the same combine, or another combine node of the plan —
+    shares that value (see :class:`~repro.store.Spilled`).  The
+    coordinator therefore holds a run's decoded partials until the run
+    ends.  Raw (storeless) partials pass straight through.
     """
 
     def __init__(self, values: Sequence, store):

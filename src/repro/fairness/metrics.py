@@ -8,6 +8,10 @@ values and the worst-case disparity across groups.  Conventions:
   (0 is perfectly fair);
 * *ratio* metrics are ``min / max`` (1 is perfectly fair; the US EEOC
   "four-fifths rule" flags ratios below 0.8).
+
+Each metric factorizes the group column once (:func:`factorize_groups`)
+and selects every group's rows by integer code; :class:`GroupCodes`
+may be passed as ``group`` to share one factorization between metrics.
 """
 
 from __future__ import annotations
@@ -20,9 +24,57 @@ from repro.exceptions import FairnessError
 from repro.learn.metrics import ConfusionMatrix, confusion_matrix
 
 
+@dataclass(frozen=True)
+class GroupCodes:
+    """One factorization of a group column: sorted values + row codes.
+
+    ``values`` is ``np.unique`` of the column as given (the original
+    group objects — never cast to a numpy string dtype, which would drop
+    trailing NULs and merge ``"a"`` with ``"a\\x00"``); ``codes[i]`` is
+    the position of row ``i``'s value in ``values``.  A value unequal to
+    itself (NaN, NaT) matches no row — as ``group == value`` never does
+    — so its rows carry code ``-1``.  Every metric here reads its
+    per-group rows off these integer codes; pass a ``GroupCodes`` as
+    ``group`` to share one factorization between several metrics.
+    """
+
+    values: np.ndarray
+    codes: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        """The factorized column's shape."""
+        return self.codes.shape
+
+    def masks(self):
+        """``(value, row mask)`` per group, in sorted-value order."""
+        for code, value in enumerate(self.values):
+            yield value, self.codes == code
+
+    def sizes(self) -> np.ndarray:
+        """Rows per group, aligned with ``values``."""
+        return np.bincount(self.codes[self.codes >= 0],
+                           minlength=len(self.values))
+
+
+def factorize_groups(group) -> GroupCodes:
+    """The :class:`GroupCodes` of ``group`` (codes shaped like it)."""
+    if isinstance(group, GroupCodes):
+        return group
+    array = np.asarray(group)
+    values, codes = np.unique(array, return_inverse=True)
+    codes = codes.reshape(array.shape)
+    if values.dtype.kind in "fcmMO":
+        unmatched = np.asarray(values != values, dtype=bool)
+        if unmatched.any():
+            codes = np.where(unmatched[codes], -1, codes)
+    return GroupCodes(values, codes)
+
+
 def _check_inputs(y_pred, group, y_true=None):
     y_pred = np.asarray(y_pred, dtype=np.float64)
-    group = np.asarray(group)
+    if not isinstance(group, GroupCodes):
+        group = np.asarray(group)
     if y_pred.shape != group.shape or y_pred.ndim != 1:
         raise FairnessError(
             f"predictions {y_pred.shape} and groups {group.shape} must be aligned 1-D arrays"
@@ -33,12 +85,12 @@ def _check_inputs(y_pred, group, y_true=None):
         y_true = np.asarray(y_true, dtype=np.float64)
         if y_true.shape != y_pred.shape:
             raise FairnessError("y_true and y_pred must be aligned")
-    groups = np.unique(group)
-    if len(groups) < 2:
+    groups = factorize_groups(group)
+    if len(groups.values) < 2:
         raise FairnessError(
-            f"need at least two groups, found {groups.tolist()}"
+            f"need at least two groups, found {groups.values.tolist()}"
         )
-    return y_pred, group, y_true, groups
+    return y_pred, groups, y_true
 
 
 @dataclass(frozen=True)
@@ -71,19 +123,20 @@ class GroupRates:
 
 def group_rates(y_true, y_pred, group) -> GroupRates:
     """Confusion matrices per group."""
-    y_pred, group, y_true, groups = _check_inputs(y_pred, group, y_true)
-    confusions = {}
-    for value in groups:
-        mask = group == value
-        confusions[value] = confusion_matrix(y_true[mask], y_pred[mask])
-    return GroupRates(tuple(groups.tolist()), confusions)
+    y_pred, groups, y_true = _check_inputs(y_pred, group, y_true)
+    confusions = {
+        value: confusion_matrix(y_true[mask], y_pred[mask])
+        for value, mask in groups.masks()
+    }
+    return GroupRates(tuple(groups.values.tolist()), confusions)
 
 
 def selection_rates(y_pred, group) -> dict[object, float]:
     """Fraction predicted positive, per group."""
-    y_pred, group, _, groups = _check_inputs(y_pred, group)
+    y_pred, groups, _ = _check_inputs(y_pred, group)
     return {
-        value: float(np.mean(y_pred[group == value])) for value in groups
+        value: float(np.mean(y_pred[mask]))
+        for value, mask in groups.masks()
     }
 
 
@@ -136,21 +189,22 @@ def group_calibration_gaps(y_true, probabilities, group,
     """
     from repro.learn.calibration import expected_calibration_error
 
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    _, group, y_true, groups = _check_inputs(probabilities, group, y_true)
+    probabilities, groups, y_true = _check_inputs(probabilities, group,
+                                                  y_true)
     return {
         value: expected_calibration_error(
-            y_true[group == value], probabilities[group == value], n_bins
+            y_true[mask], probabilities[mask], n_bins
         )
-        for value in groups
+        for value, mask in groups.masks()
     }
 
 
 def base_rates(y_true, group) -> dict[object, float]:
     """Positive-label prevalence per group (the impossibility lever)."""
-    y_true, group, _, groups = _check_inputs(y_true, group)
+    y_true, groups, _ = _check_inputs(y_true, group)
     return {
-        value: float(np.mean(y_true[group == value])) for value in groups
+        value: float(np.mean(y_true[mask]))
+        for value, mask in groups.masks()
     }
 
 

@@ -89,11 +89,15 @@ class FairnessReport(Artifact):
 
 def audit_decisions(y_true, y_pred, group, sensitive: str = "group",
                     probabilities=None) -> FairnessReport:
-    """Audit pre-computed decisions (optionally with scores for calibration)."""
+    """Audit pre-computed decisions (optionally with scores for calibration).
+
+    The group column is factorized once and every metric reads its
+    per-group rows off the shared integer codes.
+    """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
-    group = np.asarray(group)
-    groups = tuple(np.unique(group).tolist())
+    group = fm.factorize_groups(group)
+    groups = tuple(group.values.tolist())
     calibration = {}
     if probabilities is not None:
         try:

@@ -10,8 +10,9 @@ Hot-path design (see docs/api.md, "Hot kernels & fusion"): each feature
 column is **argsorted once per fit** and the per-node sorted orders are
 maintained by partitioning the parent's presorted index matrix — no
 re-sorting at any node.  Candidate splits are scored with one vectorized
-masked-gain computation over *all* boundaries of *all* candidate
-features at once, replacing the historical Python-level boundary loop.
+masked-gain computation over the admissible boundaries of *all*
+candidate features at once, replacing the historical Python-level
+boundary loop.
 Fitted trees additionally keep a structure-of-arrays mirror of their
 nodes so batched prediction descends with pure numpy gathers.  Both
 rewrites are pinned byte-identical to the loop implementation by the
@@ -187,13 +188,18 @@ class DecisionTreeClassifier(Classifier):
         # Pre-sort every feature once; nodes partition this matrix
         # instead of re-argsorting their rows at every candidate split.
         presorted = np.argsort(X, axis=0, kind="stable")
-        self._grow(X, y, weights, np.arange(len(y)), presorted, depth=0)
+        # Each row's positive-class weight, gathered (never recomputed)
+        # by every node's split search.
+        pos_weights = weights * (y == 1.0)
+        self._grow(X, y, weights, pos_weights, np.arange(len(y)), presorted,
+                   depth=0)
         self._refresh_arrays()
         self._mark_fitted()
         return self
 
     def _grow(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-              indices: np.ndarray, presorted: np.ndarray, depth: int) -> int:
+              pos_weights: np.ndarray, indices: np.ndarray,
+              presorted: np.ndarray, depth: int) -> int:
         node_index = len(self._nodes)
         w = weights[indices]
         total = w.sum()
@@ -205,7 +211,8 @@ class DecisionTreeClassifier(Classifier):
         if (depth >= self.max_depth or len(indices) < 2 * self.min_samples_leaf
                 or probability in (0.0, 1.0)):
             return node_index
-        split = self._best_split(X, y, weights, indices, presorted)
+        split = self._best_split(X, y, weights, pos_weights, indices,
+                                 presorted)
         if split is None:
             return node_index
         feature, threshold = split
@@ -223,9 +230,10 @@ class DecisionTreeClassifier(Classifier):
             n_features, len(right_idx)).T
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(X, y, weights, left_idx, left_sorted, depth + 1)
-        node.right = self._grow(X, y, weights, right_idx, right_sorted,
-                                depth + 1)
+        node.left = self._grow(X, y, weights, pos_weights, left_idx,
+                               left_sorted, depth + 1)
+        node.right = self._grow(X, y, weights, pos_weights, right_idx,
+                                right_sorted, depth + 1)
         return node_index
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
@@ -236,14 +244,16 @@ class DecisionTreeClassifier(Classifier):
         return rng.choice(n_features, size=self.max_features, replace=False)
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                    indices: np.ndarray,
+                    pos_weights: np.ndarray, indices: np.ndarray,
                     presorted: np.ndarray) -> tuple[int, float] | None:
-        """Best (feature, threshold) by one masked-gain matrix computation.
+        """Best (feature, threshold) by one masked-gain computation.
 
-        All boundaries of all candidate features are scored at once.
-        The winner is the first strict maximum in (feature order,
-        boundary order) — exactly the argmax the historical nested loop
-        produced, so fitted trees are byte-identical to it.
+        All boundaries of all candidate features are tested at once, and
+        Gini is evaluated only at those with distinct consecutive values
+        and large-enough children, gathered in (feature, boundary)
+        order.  The winner is the first strict maximum in that order —
+        exactly the argmax the historical nested loop produced, so
+        fitted trees are byte-identical to it.
         """
         m = len(indices)
         w = weights[indices]
@@ -255,14 +265,20 @@ class DecisionTreeClassifier(Classifier):
         features = self._candidate_features(X.shape[1])
         order = presorted[:, features]                      # (m, c) row ids
         sorted_values = X[order, features[None, :]]         # (m, c)
-        sorted_w = weights[order]
-        sorted_pos = sorted_w * (y[order] == 1.0)
-        cum_w = np.cumsum(sorted_w, axis=0)
-        cum_pos = np.cumsum(sorted_pos, axis=0)
 
-        left_w = cum_w[:-1]
+        # Candidate boundaries: distinct consecutive values, both
+        # children large enough.  Transposed, the nonzero scan runs in
+        # (feature, boundary) order.
+        n_left = np.arange(1, m)
+        candidate = np.diff(sorted_values, axis=0) > 0
+        candidate &= ((n_left >= self.min_samples_leaf)
+                      & (n_left <= m - self.min_samples_leaf))[:, None]
+        column, boundary = np.nonzero(candidate.T)
+        if not len(column):
+            return None
+        left_w = np.cumsum(weights[order], axis=0)[boundary, column]
+        left_pos = np.cumsum(pos_weights[order], axis=0)[boundary, column]
         right_w = total - left_w
-        left_pos = cum_pos[:-1]
         right_pos = total_pos - left_pos
         with np.errstate(divide="ignore", invalid="ignore"):
             p_left = np.where(left_w > 0, left_pos / left_w, 0.0)
@@ -271,21 +287,14 @@ class DecisionTreeClassifier(Classifier):
         gini_right = np.where(right_w > 0,
                               2.0 * p_right * (1.0 - p_right), 0.0)
         impurity = left_w / total * gini_left + right_w / total * gini_right
-        gain = parent_impurity - impurity                   # (m-1, c)
-
-        # Valid boundaries: distinct consecutive values, both children
-        # large enough, gain above the floor.
-        n_left = np.arange(1, m)
-        valid = np.diff(sorted_values, axis=0) > 0
-        valid &= (n_left >= self.min_samples_leaf)[:, None]
-        valid &= (n_left <= m - self.min_samples_leaf)[:, None]
-        valid &= gain > self.min_impurity_decrease + 1e-12
-        if not valid.any():
+        gain = parent_impurity - impurity
+        # Valid boundaries also clear the gain floor.
+        gains = np.where(gain > self.min_impurity_decrease + 1e-12,
+                         gain, -np.inf)
+        best = int(np.argmax(gains))  # first (feature, boundary) strict max
+        if gains[best] == -np.inf:
             return None
-        gains = np.where(valid, gain, -np.inf)
-        # Feature-major argmax = first (feature, boundary) strict max.
-        flat = int(np.argmax(gains.T))
-        column, boundary = divmod(flat, m - 1)
+        column, boundary = column[best], boundary[best]
         midpoint = 0.5 * (
             sorted_values[boundary, column] + sorted_values[boundary + 1, column]
         )

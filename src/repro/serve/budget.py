@@ -117,11 +117,14 @@ class BudgetManager:
             return sum(r.epsilon for r in shard.pending)
 
     def remaining(self, tenant: str) -> float:
-        """Committed-plus-pending view of the tenant's unspent ε."""
+        """Committed-plus-pending view of the tenant's unspent ε.
+
+        The accountant composes the pending charges as it would once
+        they commit (for an :class:`AdvancedAccountant`, by query count).
+        """
         shard = self._shard(tenant)
         with shard.lock:
-            return (shard.accountant.remaining()
-                    - sum(r.epsilon for r in shard.pending))
+            return shard.accountant.remaining_after(shard.pending)
 
     def can_reserve(self, tenant: str, epsilon: float,
                     delta: float = 0.0) -> bool:

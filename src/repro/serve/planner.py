@@ -26,6 +26,7 @@ refactors, so answers cached before them replay after them
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -212,6 +213,12 @@ class QueryPlanner:
                     f"{kind} queries need declared lower/upper value bounds"
                 )
             lower, upper = float(request.lower), float(request.upper)
+            # Sensitivity comes from the bounds: an infinite one makes a
+            # sum/mean answer ±inf and a quantile grid NaN.
+            if not (math.isfinite(lower) and math.isfinite(upper)):
+                raise DataError(
+                    f"bounds must be finite, got [{lower}, {upper}]"
+                )
             if not lower < upper:
                 raise DataError(f"need lower < upper, got [{lower}, {upper}]")
         if kind == "quantile":

@@ -48,11 +48,19 @@ class Spilled:
     Spill-enabled engine nodes (:mod:`repro.engine.sharding`) commit
     their value to the store and hand *this* downstream instead of the
     value itself — partial shard results persist as artifacts between
-    plan levels, so the coordinator's peak memory is bounded by one
-    shard plus the combined partials, and a warm re-run replays the
-    handle without ever decoding the payload.  Consumers resolve it
-    with :func:`resolve_spilled` (one partial at a time, in shard
-    order).
+    plan levels, and a warm re-run replays the handle without ever
+    decoding the payload.  Consumers resolve it with
+    :func:`resolve_spilled`.
+
+    **Resolve once per run.**  The handle remembers what it resolved
+    to, so every consumer sharing it (each combine node of a plan, each
+    pass a combine makes over its partials) pays for one store read and
+    one decode between them; a lock makes a concurrent consumer wait for
+    the first decode instead of repeating it.  The
+    :class:`~repro.engine.Executor` mints fresh handles per run and
+    releases every one (:meth:`release`) when the run ends, so a decoded
+    value never outlives its run: a :class:`~repro.engine.PlanResult`
+    holds only the handles.
 
     The content fingerprint hashes the key: the key *is* the value's
     content-derived identity (a cache digest over code, params, and
@@ -60,10 +68,34 @@ class Spilled:
     cold and warm runs.
     """
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "_lock", "_value")
 
     def __init__(self, key: str):
         self.key = str(key)
+        self._lock = threading.Lock()
+        self._value = _MISS
+
+    def resolve(self, store):
+        """The artifact behind this handle, read from ``store`` at most
+        once until :meth:`release` (see :func:`resolve_spilled`)."""
+        with self._lock:
+            if self._value is _MISS:
+                value = store.get(self.key, _MISS)
+                if value is _MISS:
+                    raise DataError(
+                        f"spilled artifact {self.key} has vanished from "
+                        "the store; clear the cache and re-run"
+                    )
+                self._value = value
+            return self._value
+
+    def release(self) -> None:
+        """Drop the remembered value; the next resolve reads the store."""
+        with self._lock:
+            self._value = _MISS
+
+    def __reduce__(self):
+        return Spilled, (self.key,)
 
     def __content_fingerprint__(self) -> str:
         return fingerprint(spilled=self.key)
@@ -75,20 +107,17 @@ class Spilled:
 def resolve_spilled(value, store):
     """``value`` itself, or the artifact behind a :class:`Spilled` ref.
 
-    A missing or corrupted spill entry raises :class:`DataError` — a
-    spilled partial has no recompute path of its own (its producing
-    node already reported a hit), so silently recomputing downstream
-    would replay garbage.
+    A handle is read from ``store`` on its first resolve and answers
+    from memory until released (:meth:`Spilled.release`), so within one
+    engine run each spilled partial is decoded once however many
+    combines read it.  A missing or corrupted spill entry raises
+    :class:`DataError` naming the key — a spilled partial has no
+    recompute path of its own (its producing node already reported a
+    hit), so silently recomputing downstream would replay garbage.
     """
     if not isinstance(value, Spilled):
         return value
-    resolved = store.get(value.key, _MISS)
-    if resolved is _MISS:
-        raise DataError(
-            f"spilled artifact {value.key} has vanished from the store; "
-            "clear the cache and re-run"
-        )
-    return resolved
+    return value.resolve(store)
 
 
 def rng_state(rng: np.random.Generator) -> dict:

@@ -1,5 +1,8 @@
 """Unit tests for anonymisation, pseudonymisation, attacks, and risk."""
 
+import hashlib
+import hmac
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,28 @@ def test_pseudonymize_table(small_table):
     # Same input -> same token (joins survive).
     again = worker.pseudonymize(small_table)
     assert (result["ssn"] == again["ssn"]).all()
+
+
+@pytest.mark.parametrize("key_length", [1, 32, 64, 65, 100])
+@pytest.mark.parametrize("token_length", [8, 16, 64])
+def test_column_tokens_equal_hmac_sha256(small_table, key_length,
+                                         token_length):
+    # The column path absorbs the keyed HMAC prefixes once; its tokens
+    # must stay hmac.new's for keys below, at, and above the 64-byte
+    # block (where the key is hashed first).
+    key = bytes(range(7, 7 + key_length))
+    worker = Pseudonymizer(key=key, token_length=token_length)
+    values = ["s1", "", "ünïcödé", "x" * 200, "7"]
+    table = small_table.head(5).with_column(
+        small_table.schema["ssn"], values)
+    tokens = worker.pseudonymize_column(table, "ssn")["ssn"].tolist()
+    expected = [
+        "p_" + hmac.new(key, value.encode("utf-8"),
+                        hashlib.sha256).hexdigest()[:token_length]
+        for value in values
+    ]
+    assert tokens == expected
+    assert tokens == [worker.pseudonym(value) for value in values]
 
 
 def test_rekeyed_breaks_linkability(small_table):

@@ -8,11 +8,15 @@
   builtin ``sum`` over the ledger bit for bit (and in type) on the
   running interpreter, since FACT report fingerprints embed them.
 * **Advanced composition and concurrency** — an ``AdvancedAccountant``
-  tenant may hold as many concurrent reservations as its budget affords.
+  tenant may hold as many concurrent reservations as its budget affords,
+  and its remaining-budget view composes them as it would once committed.
+* **Refused before charging** — non-finite bounds and NUL histogram bins
+  are invalid queries: nothing reaches the ledger.
 """
 
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +27,10 @@ from repro.confidentiality.accountant import (
     _RunningSum,
     max_queries_advanced,
 )
+from repro.confidentiality.queries import dp_histogram
 from repro.data.schema import Schema, categorical, numeric
 from repro.data.table import Table
-from repro.exceptions import PrivacyBudgetError
+from repro.exceptions import DataError, PrivacyBudgetError
 from repro.serve import (
     STATUS_OK,
     STATUS_REJECTED_INVALID,
@@ -98,8 +103,10 @@ def _plan(planner, **fields):
                                     (-1e9, 1e9), (float("-inf"), 100.0)])
 def test_quantile_stats_match_reference_scan(planner, q, bounds):
     lower, upper = bounds
-    plan = _plan(planner, kind="quantile", column="x", q=q,
-                 lower=lower, upper=upper)
+    # The planner refuses an infinite bound; the kernel still takes one
+    # from a plan built directly.
+    plan = replace(_plan(planner, kind="quantile", column="x", q=q,
+                         lower=0.0, upper=1.0), lower=lower, upper=upper)
     table = planner.table("t")
     with np.errstate(invalid="ignore"):  # an infinite bound: NaN grid
         expected = reference_quantile(table.column("x"), lower, upper, q)
@@ -258,3 +265,63 @@ def test_advanced_tenant_answers_a_coalesced_batch(small_table):
     assert [r.status for r in results] == [STATUS_OK] * 6
     assert batching["largest_batch"] == 6
     assert len(server.budget.accountant("adv").ledger) == 6
+
+
+def test_remaining_composes_pending_advanced_reservations():
+    # Pending queries compose like committed ones: with every affordable
+    # reservation held, the view equals what is left once they commit.
+    manager = BudgetManager()
+    accountant = manager.register("adv", AdvancedAccountant(
+        10.0, per_query_epsilon=0.1, delta_slack=1e-5))
+    assert manager.remaining("adv") == 10.0
+    held = [manager.reserve("adv", 0.1) for _ in range(241)]
+    assert not manager.can_reserve("adv", 0.1)
+    pending_view = manager.remaining("adv")
+    assert 0.0 < pending_view < 0.02
+    for reservation in held:
+        manager.commit(reservation)
+    assert manager.remaining("adv") == pending_view == accountant.remaining()
+
+
+def test_remaining_subtracts_pending_under_basic_composition():
+    manager = BudgetManager()
+    accountant = manager.register("basic", PrivacyAccountant(1.0))
+    accountant.spend(0.3)
+    manager.reserve("basic", 0.1)
+    manager.reserve("basic", 0.2)
+    assert manager.remaining("basic") == accountant.remaining() - (0.1 + 0.2)
+
+
+# -- refused before any ε is charged ---------------------------------------
+
+@pytest.mark.parametrize("kind", ["sum", "mean", "quantile"])
+@pytest.mark.parametrize("bounds", [(float("-inf"), 100.0),
+                                    (0.0, float("inf")),
+                                    (float("-inf"), float("inf")),
+                                    (0.0, float("nan"))])
+def test_non_finite_bounds_are_rejected_uncharged(kind, bounds):
+    lower, upper = bounds
+    table = Table(Schema([numeric("x")]), {"x": np.arange(10.0)})
+    with QueryServer(ServeConfig(workers=1, seed=7)) as server:
+        server.register_table("t", table)
+        accountant = server.register_tenant("a", epsilon_budget=1.0)
+        result = server.query(QueryRequest(
+            tenant="a", kind=kind, column="x", lower=lower, upper=upper,
+            q=0.5 if kind == "quantile" else None, epsilon=0.1))
+        assert result.status == STATUS_REJECTED_INVALID
+        assert result.epsilon_charged == 0.0
+        assert accountant.ledger == []
+
+
+def test_library_histogram_refuses_nul_bins_before_charging():
+    accountant = PrivacyAccountant(1.0)
+    values = np.array(["a", "a", "b"], dtype=object)
+    for bins in (("a", "a\x00"), ["\x00"], ("b", "x\x00y")):
+        with pytest.raises(DataError, match="NUL"):
+            dp_histogram(values, bins, 0.1, accountant,
+                         np.random.default_rng(0))
+    assert accountant.ledger == []
+    released = dp_histogram(values, ["a", "b"], 0.1, accountant,
+                            np.random.default_rng(0))
+    assert set(released) == {"a", "b"}
+    assert len(accountant.ledger) == 1
