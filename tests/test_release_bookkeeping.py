@@ -289,7 +289,8 @@ def test_remaining_subtracts_pending_under_basic_composition():
     accountant.spend(0.3)
     manager.reserve("basic", 0.1)
     manager.reserve("basic", 0.2)
-    assert manager.remaining("basic") == accountant.remaining() - (0.1 + 0.2)
+    assert manager.remaining("basic") == accountant.remaining() - sum(
+        (0.1, 0.2))
 
 
 # -- refused before any ε is charged ---------------------------------------
